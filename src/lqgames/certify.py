@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import CompactOperators, LqGame, StructuredGain, _block_diag, build_compact
+from .model import CompactOperators, LqGame, StructuredGain, build_compact
 
 # "PSD" means lambda_min >= -PSD_TOL * (1 + ||.||); H is declared singular
 # below PD_TOL relative to its norm.
@@ -69,8 +69,10 @@ def value_blocks(ops, K: StructuredGain, L: StructuredGain) -> list[np.ndarray]:
     return P
 
 
-def value_matrix(ops, K: StructuredGain, L: StructuredGain) -> np.ndarray:
-    return _block_diag(value_blocks(ops, K, L))
+def expected_cost(ops, P: Sequence[np.ndarray]) -> float:
+    """Tr(P Sigma_0) for value blocks P: the expected total cost they price."""
+    cov = _ops(ops).game.noise.covariance_blocks
+    return float(sum(np.trace(p @ c) for p, c in zip(P, cov)))
 
 
 def covariance_blocks(ops, K: StructuredGain, L: StructuredGain) -> list[np.ndarray]:
@@ -85,16 +87,10 @@ def covariance_blocks(ops, K: StructuredGain, L: StructuredGain) -> list[np.ndar
     return S
 
 
-def state_covariance(ops, K: StructuredGain, L: StructuredGain) -> np.ndarray:
-    return _block_diag(covariance_blocks(ops, K, L))
-
-
 def objective(ops, K: StructuredGain, L: StructuredGain) -> float:
     """Tr(P Sigma_0), the expected total cost under (K, L)."""
     ops = _ops(ops)
-    P = value_blocks(ops, K, L)
-    cov = ops.game.noise.covariance_blocks
-    return float(sum(np.trace(p @ c) for p, c in zip(P, cov)))
+    return expected_cost(ops, value_blocks(ops, K, L))
 
 
 def disturbance_margin_blocks(ops, P: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -149,9 +145,7 @@ def certificate(ops, K: StructuredGain, L: StructuredGain) -> ValueCertificate:
     S = covariance_blocks(ops, K, L)
     F, E = natural_gradients(ops, K, L, P)
     H = disturbance_margin_blocks(ops, P)
-    cov = ops.game.noise.covariance_blocks
-    obj = float(sum(np.trace(p @ c) for p, c in zip(P, cov)))
-    return ValueCertificate(tuple(P), tuple(S), F, E, tuple(H), obj)
+    return ValueCertificate(tuple(P), tuple(S), F, E, tuple(H), expected_cost(ops, P))
 
 
 @dataclass(frozen=True)
@@ -230,8 +224,7 @@ def primal_value(ops, K: StructuredGain) -> float:
     br = best_response_L(ops, K)
     if not br.feasible:
         raise NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0)
-    cov = ops.game.noise.covariance_blocks
-    return float(sum(np.trace(p @ c) for p, c in zip(br.P_blocks, cov)))
+    return expected_cost(ops, br.P_blocks)
 
 
 @dataclass(frozen=True)
@@ -290,8 +283,7 @@ def solve_nash(game_or_ops) -> NashSolution:
         Lb[h] = -np.linalg.solve(H, g.D[h].T @ Pn @ (g.A[h] - g.B[h] @ Kb[h]))
     Kstar = StructuredGain("K", tuple(Kb))
     Lstar = StructuredGain("L", tuple(Lb))
-    cov = g.noise.covariance_blocks
-    value = float(sum(np.trace(p @ c) for p, c in zip(P, cov)))
+    value = expected_cost(ops, P)
     F, E = natural_gradients(ops, Kstar, Lstar, P)
     resF, resE = F.frobenius_norm(), E.frobenius_norm()
     if max(resF, resE) > 1e-8 * (1.0 + abs(value)):
@@ -314,7 +306,7 @@ def in_feasible_set(ops, K: StructuredGain) -> FeasibilityReport:
     """Membership in the admissible set: P_{K,L(K)} PSD and Rw - D'PD PD."""
     ops = _ops(ops)
     br = best_response_L(ops, K)
-    lamH = min(float(np.linalg.eigvalsh(h).min()) for h in br.H_blocks)
+    lamH = br.min_margin
     lamP = min(float(np.linalg.eigvalsh(p).min()) for p in br.P_blocks)
     normH = max(float(np.linalg.norm(h, 2)) for h in br.H_blocks)
     normP = max(float(np.linalg.norm(p, 2)) for p in br.P_blocks)
@@ -348,17 +340,21 @@ def anchor_certificate(ops, K0: StructuredGain) -> BestResponse:
 
 
 def in_Khat_set(ops, K: StructuredGain, K0_certificate: BestResponse) -> KhatReport:
-    """Membership in the anchored sublevel set around a feasible start.
+    """Membership of K in the anchored sublevel set around a feasible start."""
+    ops = _ops(ops)
+    return khat_report(ops, best_response_L(ops, K), K0_certificate)
+
+
+def khat_report(ops, br: BestResponse, K0_certificate: BestResponse) -> KhatReport:
+    """Anchored-set test on the best-response certificate ``br`` of a gain.
 
     Tests 0 <= P_{K,L(K)} <= P_0 + lambda_min(H_0) / (2 |D|^2) * I blockwise
     by eigenvalue decomposition of the differences.
     """
     ops = _ops(ops)
-    br = best_response_L(ops, K)
     if not br.feasible:
         return KhatReport(member=False, slack=-np.inf, lambda_min_P=br.lam_min or -np.inf)
-    lamH0 = min(float(np.linalg.eigvalsh(h).min()) for h in K0_certificate.H_blocks)
-    shift = lamH0 / (2.0 * ops.norm_D() ** 2)
+    shift = K0_certificate.min_margin / (2.0 * ops.norm_D() ** 2)
     slack = np.inf
     lamP = np.inf
     for P, P0 in zip(br.P_blocks, K0_certificate.P_blocks):

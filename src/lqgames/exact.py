@@ -3,16 +3,15 @@
 Inner loop ascends the maximizer's natural gradient; the outer loop descends
 the minimizer's, using either an approximately or exactly maximized inner
 solution.  No projections or line searches: feasibility is maintained
-implicitly by small enough stepsizes.
+implicitly by small enough stepsizes.  The outer loop is shared with the
+model-free solver in ``zo``, which supplies its own step oracle.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Literal
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, Literal
 
 from . import certify
 from .model import CompactOperators, StructuredGain, zero_gain
@@ -54,28 +53,30 @@ class ExactSolverConfig:
 
 
 def inner_npg_exact(ops: CompactOperators, K: StructuredGain, L0: StructuredGain,
-                    config: ExactSolverConfig) -> tuple[StructuredGain, list[float]]:
+                    config: ExactSolverConfig,
+                    br: certify.BestResponse | None = None) -> tuple[StructuredGain, list[float]]:
     """Natural gradient ascent on L at fixed K; returns (L, gap trace).
 
     In gap mode the loop stops once the suboptimality against the exact best
-    response drops below ``eps1``.
+    response ``br`` (computed here when not given) drops below ``eps1``.
     """
-    br = certify.best_response_L(ops, K)
+    if br is None:
+        br = certify.best_response_L(ops, K)
     if not br.feasible:
         raise certify.NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0)
-    cov = ops.game.noise.covariance_blocks
-    opt_val = float(sum(np.trace(p @ c) for p, c in zip(br.P_blocks, cov)))
+    opt_val = certify.expected_cost(ops, br.P_blocks)
     L = L0
     gaps: list[float] = []
     limit = config.T_in if config.inner_mode == "fixed" else config.inner_cap
     for k in range(limit):
-        gap = opt_val - certify.objective(ops, K, L)
+        P = certify.value_blocks(ops, K, L)
+        gap = opt_val - certify.expected_cost(ops, P)
         gaps.append(gap)
         if config.inner_mode == "gap" and gap <= config.eps1:
             return L, gaps
-        _, E = certify.natural_gradients(ops, K, L)
+        _, E = certify.natural_gradients(ops, K, L, P)
         L = L + E.scale(config.tau1)
-    gap = opt_val - certify.objective(ops, K, L)
+    gap = opt_val - certify.expected_cost(ops, certify.value_blocks(ops, K, L))
     gaps.append(gap)
     if config.inner_mode == "gap" and gap > config.eps1:
         raise InnerLoopError(
@@ -84,10 +85,56 @@ def inner_npg_exact(ops: CompactOperators, K: StructuredGain, L0: StructuredGain
     return L, gaps
 
 
-@dataclass
-class OuterState:
-    K: StructuredGain
-    trace: RunTrace = field(default_factory=RunTrace)
+# (direction, (inner samples, outer samples, gate hits) spent on it or None)
+StepOracle = Callable[[int, StructuredGain, certify.BestResponse],
+                      tuple[StructuredGain, tuple[int, int, int] | None]]
+
+
+def _outer_descent(ops: CompactOperators, K0: StructuredGain, step_oracle: StepOracle,
+                   T: int, tau2: float, nash_value: float | None,
+                   stop_gap: float | None = None,
+                   stochastic: bool = False) -> tuple[StructuredGain, RunTrace]:
+    """Outer loop shared by the nested solvers: K <- K - tau2 * step_oracle(t, K, br).
+
+    The best response ``br`` of each iterate is computed once; the
+    feasibility and divergence guards, the primal gap, lambda_min(H) and the
+    anchored-set test all read it.  A stochastic trace accumulates the
+    oracle's sample and gate counts.
+    """
+    if nash_value is None:
+        nash_value = certify.solve_nash(ops).value
+    anchor = certify.anchor_certificate(ops, K0)
+    K = K0
+    trace = RunTrace(stochastic=stochastic)
+    initial_obj: float | None = None
+    totals = (0, 0, 0)
+    t0 = time.perf_counter()
+    for t in range(T):
+        br = certify.best_response_L(ops, K)
+        if not br.feasible:
+            raise DivergenceError(
+                f"iterate {t} left the feasible set at stage {br.violating_stage} "
+                f"(lambda_min={br.lam_min:g}); stepsize too large", trace)
+        primal = certify.expected_cost(ops, br.P_blocks)
+        if initial_obj is None:
+            initial_obj = primal
+        if primal > DIVERGENCE_FACTOR * initial_obj:
+            raise DivergenceError(
+                f"objective {primal:g} exceeded {DIVERGENCE_FACTOR:g}x its initial value", trace)
+        step, counts = step_oracle(t, K, br)
+        gap = primal - nash_value
+        row = TraceRow(
+            t=t, objective_gap=gap, frob_F=step.frobenius_norm(), lambda_min_H=br.min_margin,
+            in_Khat=certify.khat_report(ops, br, anchor).member,
+            wallclock_ms=(time.perf_counter() - t0) * 1e3)
+        if stochastic:
+            totals = tuple(a + b for a, b in zip(totals, counts))
+            row.samples_used_inner, row.samples_used_outer, row.covariance_gate_hits = totals
+        trace.append(row)
+        if stop_gap is not None and gap <= stop_gap:
+            return K, trace
+        K = K - step.scale(tau2)
+    return K, trace
 
 
 def outer_npg_exact(ops: CompactOperators, K0: StructuredGain,
@@ -99,39 +146,14 @@ def outer_npg_exact(ops: CompactOperators, K0: StructuredGain,
     other modes run the inner ascent loop.  Records gap, gradient norm,
     disturbance margin, and anchored-set membership per iterate.
     """
-    if nash_value is None:
-        nash_value = certify.solve_nash(ops).value
-    anchor = certify.anchor_certificate(ops, K0)
-    cov = ops.game.noise.covariance_blocks
-    K = K0
-    trace = RunTrace()
-    initial_obj: float | None = None
-    t0 = time.perf_counter()
-    for t in range(config.T):
-        br = certify.best_response_L(ops, K)
-        if not br.feasible:
-            raise DivergenceError(
-                f"iterate {t} left the feasible set at stage {br.violating_stage} "
-                f"(lambda_min={br.lam_min:g}); stepsize too large", trace)
-        primal = float(sum(np.trace(p @ c) for p, c in zip(br.P_blocks, cov)))
-        if initial_obj is None:
-            initial_obj = primal
-        if primal > DIVERGENCE_FACTOR * initial_obj:
-            raise DivergenceError(
-                f"objective {primal:g} exceeded {DIVERGENCE_FACTOR:g}x its initial value", trace)
+    def exact_step(t, K, br):
         if config.inner_mode == "exact":
-            L = br.L
+            L, P = br.L, br.P_blocks
         else:
-            L, _ = inner_npg_exact(ops, K, zero_gain(ops.game, "L"), config)
-        P = certify.value_blocks(ops, K, L)
+            L, _ = inner_npg_exact(ops, K, zero_gain(ops.game, "L"), config, br)
+            P = certify.value_blocks(ops, K, L)
         F, _ = certify.natural_gradients(ops, K, L, P)
-        gap = primal - nash_value
-        lamH = min(float(np.linalg.eigvalsh(h).min()) for h in br.H_blocks)
-        khat = certify.in_Khat_set(ops, K, anchor)
-        trace.append(TraceRow(
-            t=t, objective_gap=gap, frob_F=F.frobenius_norm(), lambda_min_H=lamH,
-            in_Khat=khat.member, wallclock_ms=(time.perf_counter() - t0) * 1e3))
-        if config.stop_gap is not None and gap <= config.stop_gap:
-            return K, trace
-        K = K - F.scale(config.tau2)
-    return K, trace
+        return F, None
+
+    return _outer_descent(ops, K0, exact_step, config.T, config.tau2, nash_value,
+                          stop_gap=config.stop_gap)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Literal, Sequence
 
@@ -540,12 +539,9 @@ _BUILTINS = {
 
 
 def resolve_game(source: str) -> LqGame:
-    """Load a game from a builtin name, a bundled resource, or a file path."""
+    """Load a game from a builtin name or a file path."""
     if source in _BUILTINS:
         return _BUILTINS[source]()
-    res = resources.files("lqgames").joinpath(f"benchmarks/{source}.json")
-    if res.is_file():
-        return game_from_dict(json.loads(res.read_text()))
     path = Path(source)
     if path.is_file():
         return load_game(path)

@@ -9,17 +9,16 @@ reports); the updates themselves are purely simulation-driven.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
 
 from . import certify
-from .exact import DIVERGENCE_FACTOR, DivergenceError
+from .exact import _outer_descent
 from .model import LqGame, StructuredGain, zero_gain
 from .sim import RngStream, batch_rollout, mean_covariance_blocks
-from .trace import RunTrace, TraceRow
+from .trace import RunTrace
 
 # stream purpose indices: keep stable so runs are reproducible across versions
 _COST, _COV = 0, 1
@@ -176,49 +175,19 @@ def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig,
     Calls the inner oracle once per outer iteration, then forms the outer
     gradient estimate against the fixed inner output.  The trace logs the
     model-based primal gap, estimated natural-gradient norm, margins, and
-    cumulative sample counts.
+    cumulative sample counts; the step itself never reads the model.
     """
-    if nash_value is None:
-        nash_value = certify.solve_nash(game).value
     root = RngStream(config.seed)
-    anchor = certify.anchor_certificate(game, K0)
-    cov0 = game.noise.covariance_blocks
-    K = K0
-    trace = RunTrace(stochastic=True)
-    initial_obj: float | None = None
-    inner_samples_total = 0
-    outer_samples_total = 0
-    gate_hits_total = 0
-    t0 = time.perf_counter()
-    for t in range(config.T):
-        br = certify.best_response_L(game, K)
-        if not br.feasible:
-            raise DivergenceError(
-                f"iterate {t} left the feasible set at stage {br.violating_stage}", trace)
-        primal = float(sum(np.trace(p @ c) for p, c in zip(br.P_blocks, cov0)))
-        if initial_obj is None:
-            initial_obj = primal
-        if primal > DIVERGENCE_FACTOR * initial_obj:
-            raise DivergenceError(
-                f"objective {primal:g} exceeded {DIVERGENCE_FACTOR:g}x its initial value", trace)
+
+    def zo_step(t, K, br):
         L_t, _, inner_used, inner_hits = inner_zo_oracle(
             game, K, zero_gain(game, "L"), config, root.child(0, t))
         step, outer_hits, outer_used = _estimate_step(
             game, K, L_t, "K", config.r2, config.M2, root.child(1, t), config.gate_policy)
-        inner_samples_total += inner_used
-        outer_samples_total += outer_used
-        gate_hits_total += inner_hits + outer_hits
-        lamH = min(float(np.linalg.eigvalsh(h).min()) for h in br.H_blocks)
-        khat = certify.in_Khat_set(game, K, anchor)
-        trace.append(TraceRow(
-            t=t, objective_gap=primal - nash_value, frob_F=step.frobenius_norm(),
-            lambda_min_H=lamH, in_Khat=khat.member,
-            wallclock_ms=(time.perf_counter() - t0) * 1e3,
-            samples_used_inner=inner_samples_total,
-            samples_used_outer=outer_samples_total,
-            covariance_gate_hits=gate_hits_total))
-        K = K - step.scale(config.tau2)
-    return K, trace
+        return step, (inner_used, outer_used, inner_hits + outer_hits)
+
+    return _outer_descent(game.compact(), K0, zo_step, config.T, config.tau2, nash_value,
+                          stochastic=True)
 
 
 def smoothed_objective_fd(game: LqGame, K: StructuredGain, L: StructuredGain,

@@ -126,9 +126,10 @@ def test_criterion_4_oracle_equivalences(acceptance_report):
 
 
 @pytest.mark.xfail(strict=False, reason=(
-    "10x gap reduction is above the deterministic-dynamics ceiling (~6.3x) of "
-    "this stepsize/horizon configuration; measured single-point-estimator "
-    "ratios are ~5x. See the decisions ledger."))
+    "10x gap reduction in 60 iterations is out of reach at tau2=4.67e-4 even "
+    "without noise: with exact gradients the gap shrinks 6.24x by row 60 and "
+    "first reaches 10x at iteration 144. See the README 'Known shortfall' "
+    "paragraph."))
 def test_criterion_5_desk_scale_stochastic(desk_ensemble, acceptance_report):
     runs = desk_ensemble[:3]
     ratios = [r["initial_gap"] / r["final_gap"] for r in runs]

@@ -7,6 +7,7 @@ from lqgames.exact import (DivergenceError, ExactSolverConfig, inner_npg_exact,
 from lqgames.model import (benchmark_game, benchmark_initial_gain,
                            build_compact, lift_gain, scalar_demo_game,
                            zero_gain)
+from lqgames.zo import ZoConfig, outer_zo_npg
 
 
 @pytest.fixture(scope="module")
@@ -85,11 +86,20 @@ def test_outer_stop_gap_short_circuits():
     assert trace.final_gap() <= 1.0
 
 
-def test_outer_divergence_guard():
-    ops = build_compact(benchmark_game())
-    cfg = ExactSolverConfig(inner_mode="exact", tau2=2e-3, T=50)
+def _exact_run(tau2):
+    cfg = ExactSolverConfig(inner_mode="exact", tau2=tau2, T=50)
+    return outer_npg_exact(build_compact(benchmark_game()), benchmark_initial_gain(), cfg)
+
+
+def _zo_run(tau2):
+    cfg = ZoConfig(r1=2.0, r2=0.18, M1=1000, M2=1000, T_in=2, tau2=tau2, T=50)
+    return outer_zo_npg(benchmark_game(), benchmark_initial_gain(), cfg)
+
+
+@pytest.mark.parametrize("run", [_exact_run, _zo_run], ids=["exact", "zo"])
+def test_outer_divergence_guard(run):
     with pytest.raises(DivergenceError) as exc:
-        outer_npg_exact(ops, benchmark_initial_gain(), cfg)
+        run(2e-3)
     assert len(exc.value.trace.rows) >= 1  # partial trace preserved
 
 
@@ -100,3 +110,47 @@ def test_outer_fixed_inner_mode_tracks_exact(scalar):
                             tau2=0.2, T=200)
     K, trace = outer_npg_exact(scalar, K0, cfg, nash_value=sol.value)
     assert trace.final_gap() <= 1e-6
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(certify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(certify, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("inner_mode", ["exact", "gap"])
+def test_outer_one_best_response_per_iterate(scalar, monkeypatch, inner_mode):
+    sol = certify.solve_nash(scalar)
+    K0 = lift_gain([np.array([[0.8]])], side="K")
+    calls = _count_calls(monkeypatch, "best_response_L")
+    cfg = ExactSolverConfig(inner_mode=inner_mode, tau2=0.2, T=5)
+    _, trace = outer_npg_exact(scalar, K0, cfg, nash_value=sol.value)
+    assert len(trace.rows) == 5
+    assert len(calls) == 5 + 1  # the anchor plus one per row
+
+
+def test_outer_zo_one_best_response_per_iterate(monkeypatch):
+    g = scalar_demo_game()
+    sol = certify.solve_nash(g)
+    calls = _count_calls(monkeypatch, "best_response_L")
+    cfg = ZoConfig(r1=0.05, r2=0.05, M1=50, M2=50, tau1=0.2, tau2=0.05, T_in=2, T=3)
+    _, trace = outer_zo_npg(g, sol.Kstar, cfg, nash_value=sol.value)
+    assert len(trace.rows) == 3
+    assert len(calls) == 3 + 1
+
+
+def test_inner_gap_mode_one_value_recursion_per_step(scalar, monkeypatch):
+    K = lift_gain([np.array([[0.5]])], side="K")
+    br = certify.best_response_L(scalar, K)
+    calls = _count_calls(monkeypatch, "value_blocks")
+    cfg = ExactSolverConfig(tau1=0.1, inner_mode="gap", eps1=1e-10)
+    _, gaps = inner_npg_exact(scalar, K, zero_gain(scalar.game, "L"), cfg, br)
+    assert len(gaps) > 2
+    # one per inner step plus the final check, each recording one gap
+    assert len(calls) == len(gaps)

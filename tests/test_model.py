@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,17 +151,6 @@ def test_resolve_game_builtins_and_bundled():
         assert np.array_equal(a, b)
     with pytest.raises(ModelError, match="unknown game source"):
         resolve_game("no_such_game")
-
-
-def test_bundled_benchmark_file_matches_builtin():
-    from importlib import resources
-    doc = json.loads(resources.files("lqgames")
-                     .joinpath("benchmarks/benchmark.json").read_text())
-    g1 = game_from_dict(doc)
-    g2 = benchmark_game()
-    for name in ("A", "B", "D", "Q", "Ru", "Rw"):
-        for a, b in zip(getattr(g1, name), getattr(g2, name)):
-            assert np.array_equal(a, b)
 
 
 @settings(max_examples=25, deadline=None)
