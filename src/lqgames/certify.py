@@ -342,23 +342,30 @@ def anchor_certificate(ops, K0: StructuredGain) -> BestResponse:
 def in_Khat_set(ops, K: StructuredGain, K0_certificate: BestResponse) -> KhatReport:
     """Membership of K in the anchored sublevel set around a feasible start."""
     ops = _ops(ops)
-    return khat_report(ops, best_response_L(ops, K), K0_certificate)
+    return khat_report(best_response_L(ops, K), khat_bound(ops, K0_certificate))
 
 
-def khat_report(ops, br: BestResponse, K0_certificate: BestResponse) -> KhatReport:
-    """Anchored-set test on the best-response certificate ``br`` of a gain.
+def khat_bound(ops, K0_certificate: BestResponse) -> tuple[np.ndarray, ...]:
+    """Upper blocks P_0 + lambda_min(H_0) / (2 |D|^2) * I of the anchored set.
 
-    Tests 0 <= P_{K,L(K)} <= P_0 + lambda_min(H_0) / (2 |D|^2) * I blockwise
-    by eigenvalue decomposition of the differences.
+    Fixed by the anchor, so a run computes them once.
     """
     ops = _ops(ops)
+    shift = K0_certificate.min_margin / (2.0 * ops.norm_D() ** 2)
+    return tuple(P0 + shift * np.eye(P0.shape[0]) for P0 in K0_certificate.P_blocks)
+
+
+def khat_report(br: BestResponse, bound_blocks: Sequence[np.ndarray]) -> KhatReport:
+    """Anchored-set test on the best-response certificate ``br`` of a gain.
+
+    Tests 0 <= P_{K,L(K)} <= ``bound_blocks`` (from ``khat_bound``) blockwise
+    by eigenvalue decomposition of the differences.
+    """
     if not br.feasible:
         return KhatReport(member=False, slack=-np.inf, lambda_min_P=br.lam_min or -np.inf)
-    shift = K0_certificate.min_margin / (2.0 * ops.norm_D() ** 2)
     slack = np.inf
     lamP = np.inf
-    for P, P0 in zip(br.P_blocks, K0_certificate.P_blocks):
-        bound = P0 + shift * np.eye(P.shape[0])
+    for P, bound in zip(br.P_blocks, bound_blocks):
         slack = min(slack, float(np.linalg.eigvalsh(_sym(bound - P)).min()))
         lamP = min(lamP, float(np.linalg.eigvalsh(_sym(P)).min()))
     normP = max(float(np.linalg.norm(p, 2)) for p in br.P_blocks)

@@ -9,9 +9,13 @@ model-free solver in ``zo``, which supplies its own step oracle.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Literal
+
+import numpy as np
 
 from . import certify
 from .model import CompactOperators, StructuredGain, zero_gain
@@ -34,6 +38,22 @@ class InnerLoopError(RuntimeError):
         self.gaps = gaps
 
 
+def _is_finite_real(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_numbers(positive: dict[str, float], counts: dict[str, int]) -> None:
+    """Raise ValueError unless every ``positive`` value is a finite number > 0
+    and every ``counts`` value an integer >= 1."""
+    for name, value in positive.items():
+        if not (_is_finite_real(value) and value > 0):
+            raise ValueError(f"{name} must be a finite positive number, got {value!r}")
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExactSolverConfig:
     tau1: float = 0.1
@@ -46,19 +66,23 @@ class ExactSolverConfig:
     stop_gap: float | None = None
 
     def __post_init__(self):
-        if self.tau1 <= 0 or self.tau2 <= 0:
-            raise ValueError("stepsizes must be positive")
+        _check_numbers(positive={"tau1": self.tau1, "tau2": self.tau2, "eps1": self.eps1},
+                       counts={"T_in": self.T_in, "inner_cap": self.inner_cap, "T": self.T})
+        if self.stop_gap is not None and not _is_finite_real(self.stop_gap):
+            raise ValueError(f"stop_gap must be a finite number or null, got {self.stop_gap!r}")
         if self.inner_mode not in ("fixed", "gap", "exact"):
             raise ValueError(f"unknown inner mode {self.inner_mode!r}")
 
 
 def inner_npg_exact(ops: CompactOperators, K: StructuredGain, L0: StructuredGain,
                     config: ExactSolverConfig,
-                    br: certify.BestResponse | None = None) -> tuple[StructuredGain, list[float]]:
-    """Natural gradient ascent on L at fixed K; returns (L, gap trace).
+                    br: certify.BestResponse | None = None
+                    ) -> tuple[StructuredGain, list[float], list[np.ndarray]]:
+    """Natural gradient ascent on L at fixed K; returns (L, gap trace, P).
 
-    In gap mode the loop stops once the suboptimality against the exact best
-    response ``br`` (computed here when not given) drops below ``eps1``.
+    ``P`` holds the value blocks of the returned L, already computed for its
+    gap.  In gap mode the loop stops once the suboptimality against the exact
+    best response ``br`` (computed here when not given) drops below ``eps1``.
     """
     if br is None:
         br = certify.best_response_L(ops, K)
@@ -73,16 +97,17 @@ def inner_npg_exact(ops: CompactOperators, K: StructuredGain, L0: StructuredGain
         gap = opt_val - certify.expected_cost(ops, P)
         gaps.append(gap)
         if config.inner_mode == "gap" and gap <= config.eps1:
-            return L, gaps
+            return L, gaps, P
         _, E = certify.natural_gradients(ops, K, L, P)
         L = L + E.scale(config.tau1)
-    gap = opt_val - certify.expected_cost(ops, certify.value_blocks(ops, K, L))
+    P = certify.value_blocks(ops, K, L)
+    gap = opt_val - certify.expected_cost(ops, P)
     gaps.append(gap)
     if config.inner_mode == "gap" and gap > config.eps1:
         raise InnerLoopError(
             f"inner loop failed to reach gap {config.eps1:g} in {config.inner_cap} iterations "
             f"(last gap {gap:g})", gaps)
-    return L, gaps
+    return L, gaps, P
 
 
 # (direction, (inner samples, outer samples, gate hits) spent on it or None)
@@ -103,7 +128,7 @@ def _outer_descent(ops: CompactOperators, K0: StructuredGain, step_oracle: StepO
     """
     if nash_value is None:
         nash_value = certify.solve_nash(ops).value
-    anchor = certify.anchor_certificate(ops, K0)
+    khat_bound = certify.khat_bound(ops, certify.anchor_certificate(ops, K0))
     K = K0
     trace = RunTrace(stochastic=stochastic)
     initial_obj: float | None = None
@@ -125,7 +150,7 @@ def _outer_descent(ops: CompactOperators, K0: StructuredGain, step_oracle: StepO
         gap = primal - nash_value
         row = TraceRow(
             t=t, objective_gap=gap, frob_F=step.frobenius_norm(), lambda_min_H=br.min_margin,
-            in_Khat=certify.khat_report(ops, br, anchor).member,
+            in_Khat=certify.khat_report(br, khat_bound).member,
             wallclock_ms=(time.perf_counter() - t0) * 1e3)
         if stochastic:
             totals = tuple(a + b for a, b in zip(totals, counts))
@@ -150,8 +175,7 @@ def outer_npg_exact(ops: CompactOperators, K0: StructuredGain,
         if config.inner_mode == "exact":
             L, P = br.L, br.P_blocks
         else:
-            L, _ = inner_npg_exact(ops, K, zero_gain(ops.game, "L"), config, br)
-            P = certify.value_blocks(ops, K, L)
+            L, _, P = inner_npg_exact(ops, K, zero_gain(ops.game, "L"), config, br)
         F, _ = certify.natural_gradients(ops, K, L, P)
         return F, None
 

@@ -55,6 +55,25 @@ def _check_pd(a: np.ndarray, name: str) -> None:
         raise ModelError(f"{name} is not positive definite (lambda_min={w.min():.3e})")
 
 
+def _sampling_factor(cov: np.ndarray) -> np.ndarray | float:
+    """Right factor turning unit-variance draws z into draws z @ chol' of ``cov``.
+
+    For cov = sigma * I this is the scalar sqrt(sigma) (the Cholesky
+    diagonal), and z * sqrt(sigma) equals z @ chol' bitwise.
+    """
+    chol = np.linalg.cholesky(cov)
+    if np.array_equal(cov, cov[0, 0] * np.eye(cov.shape[0])):
+        return float(chol[0, 0])
+    return chol.T
+
+
+def _scale(draws: np.ndarray, factor: np.ndarray | float) -> np.ndarray:
+    if isinstance(factor, float):
+        draws *= factor
+        return draws
+    return draws @ factor
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Bounded zero-mean noise for the initial state and per-stage disturbances.
@@ -70,6 +89,9 @@ class NoiseModel:
     covariance_blocks: tuple[np.ndarray, ...]
     bound: float
     fixed_initial_state: np.ndarray | None = None
+    # per block: the transposed Cholesky factor, or its diagonal as a float
+    # when the block is sigma * I (set in __post_init__, used by ``sample``)
+    _factors: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         blocks = tuple(_as_matrix(b, f"covariance block {i}") for i, b in enumerate(self.covariance_blocks))
@@ -94,6 +116,8 @@ class NoiseModel:
             object.__setattr__(self, "fixed_initial_state", x0)
         elif self.fixed_initial_state is not None:
             raise ModelError("fixed initial state only valid for deterministic-zero noise")
+        if self.kind != "deterministic-zero":
+            object.__setattr__(self, "_factors", tuple(_sampling_factor(b) for b in blocks))
 
     @property
     def dim(self) -> int:
@@ -108,6 +132,8 @@ class NoiseModel:
         """Draw ``count`` lifted noise vectors, shape (count, N+1, m).
 
         Row 0 of each sample is x_0, rows 1..N the stage noises xi_0..xi_{N-1}.
+        Blocks are drawn one after another from ``rng``, each with its
+        rejection redraws before the next block.
         """
         m = self.dim
         n_blocks = len(self.covariance_blocks)
@@ -116,17 +142,17 @@ class NoiseModel:
             out[:] = 0.0
             out[:, 0, :] = self.fixed_initial_state
             return out
-        for i, cov in enumerate(self.covariance_blocks):
-            chol = np.linalg.cholesky(cov)
+        bound_sq = self.bound * self.bound
+        for i, factor in enumerate(self._factors):
             if self.kind == "truncated-gaussian":
-                draws = rng.standard_normal((count, m)) @ chol.T
-                bad = np.linalg.norm(draws, axis=1) > self.bound
+                draws = _scale(rng.standard_normal((count, m)), factor)
+                bad = np.einsum("ci,ci->c", draws, draws) > bound_sq
                 # rejection loop; with the default bound this almost never runs
                 while bad.any():
-                    draws[bad] = rng.standard_normal((int(bad.sum()), m)) @ chol.T
-                    bad = np.linalg.norm(draws, axis=1) > self.bound
+                    draws[bad] = _scale(rng.standard_normal((int(bad.sum()), m)), factor)
+                    bad = np.einsum("ci,ci->c", draws, draws) > bound_sq
             else:  # scaled-uniform: unit-variance uniform coordinates
-                draws = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(count, m)) @ chol.T
+                draws = _scale(rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(count, m)), factor)
             out[:, i, :] = draws
         return out
 

@@ -42,12 +42,6 @@ class Trajectory:
     seed_id: int
 
 
-def _stage_cost(game: LqGame, h: int, x: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (np.einsum("...i,ij,...j->...", x, game.Q[h], x)
-            + np.einsum("...i,ij,...j->...", u, game.Ru[h], u)
-            - np.einsum("...i,ij,...j->...", w, game.Rw[h], w))
-
-
 def batch_rollout(game: LqGame, K: StructuredGain, L: StructuredGain, count: int,
                   rng: np.random.Generator, *,
                   K_perturb: np.ndarray | None = None,
@@ -58,24 +52,36 @@ def batch_rollout(game: LqGame, K: StructuredGain, L: StructuredGain, count: int
     ``K_perturb`` / ``L_perturb`` optionally add a per-sample gain offset of
     shape (count, N, p, m); this is how zeroth-order perturbations enter.
     Returns (costs, states) with states of shape (count, N+1, m) or None.
+
+    Each stage forms the closed loop A - B K - D L and the combined cost
+    Q + K' Ru K - L' Rw L once; a perturbation du = dK x adds
+    du' ((Ru + Ru') K x + Ru du) to the cost and -B du to the next state
+    (dw = dL x likewise, with -Rw and D).
     """
     N, m = game.horizon, game.m
     xi = game.noise.sample(count, rng)  # (count, N+1, m)
-    x = xi[:, 0, :].copy()
+    x = xi[:, 0, :]
     costs = np.zeros(count)
     states = np.empty((count, N + 1, m)) if return_states else None
     for h in range(N):
         if states is not None:
             states[:, h, :] = x
-        u = x @ K.blocks[h].T
-        if K_perturb is not None:
-            u += np.einsum("cpm,cm->cp", K_perturb[:, h], x)
-        w = x @ L.blocks[h].T
-        if L_perturb is not None:
-            w += np.einsum("cpm,cm->cp", L_perturb[:, h], x)
-        costs += _stage_cost(game, h, x, u, w)
-        x = x @ game.A[h].T - u @ game.B[h].T - w @ game.D[h].T + xi[:, h + 1, :]
-    costs += np.einsum("ci,ij,cj->c", x, game.Q[N], x)
+        Kh, Lh = K.blocks[h], L.blocks[h]
+        Ru, Rw = game.Ru[h], game.Rw[h]
+        closed = game.A[h] - game.B[h] @ Kh - game.D[h] @ Lh
+        weight = game.Q[h] + Kh.T @ Ru @ Kh - Lh.T @ Rw @ Lh
+        costs += np.einsum("ci,ci->c", x @ weight, x)
+        x_next = x @ closed.T + xi[:, h + 1, :]
+        for perturb, gain, R, G, sign in ((K_perturb, Kh, Ru, game.B[h], 1.0),
+                                          (L_perturb, Lh, Rw, game.D[h], -1.0)):
+            if perturb is None:
+                continue
+            delta = np.einsum("cpm,cm->cp", perturb[:, h], x)
+            cross = x @ ((R + R.T) @ gain).T + delta @ R.T
+            costs += sign * np.einsum("cp,cp->c", delta, cross)
+            x_next -= delta @ G.T
+        x = x_next
+    costs += np.einsum("ci,ci->c", x @ game.Q[N], x)
     if states is not None:
         states[:, N, :] = x
     return costs, states

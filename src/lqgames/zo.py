@@ -15,7 +15,7 @@ from typing import Literal
 import numpy as np
 
 from . import certify
-from .exact import _outer_descent
+from .exact import _check_numbers, _outer_descent
 from .model import LqGame, StructuredGain, zero_gain
 from .sim import RngStream, batch_rollout, mean_covariance_blocks
 from .trace import RunTrace
@@ -42,10 +42,9 @@ class ZoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.r1, self.r2, self.tau1, self.tau2) <= 0:
-            raise ValueError("radii and stepsizes must be positive")
-        if min(self.M1, self.M2) < 1:
-            raise ValueError("batch sizes must be at least 1")
+        _check_numbers(positive={"r1": self.r1, "r2": self.r2,
+                                 "tau1": self.tau1, "tau2": self.tau2},
+                       counts={"M1": self.M1, "M2": self.M2, "T_in": self.T_in, "T": self.T})
         if self.gate_policy not in ("regularize", "reject-and-resample"):
             raise ValueError(f"unknown gate policy {self.gate_policy!r}")
 
@@ -65,12 +64,12 @@ def sample_unit_sphere(game: LqGame, side: Literal["K", "L"], count: int,
     """
     p, m, dim = gain_dims(game, side)
     flat = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(flat, axis=1, keepdims=True)
-    while (norms == 0.0).any():  # probability-zero guard
-        bad = norms[:, 0] == 0.0
+    sq_norms = np.einsum("ci,ci->c", flat, flat)
+    while (sq_norms == 0.0).any():  # probability-zero guard
+        bad = sq_norms == 0.0
         flat[bad] = rng.standard_normal((int(bad.sum()), dim))
-        norms = np.linalg.norm(flat, axis=1, keepdims=True)
-    flat /= norms
+        sq_norms = np.einsum("ci,ci->c", flat, flat)
+    flat /= np.sqrt(sq_norms)[:, None]
     return flat.reshape(count, game.horizon, p, m)
 
 
@@ -87,7 +86,7 @@ def zo_gradient(game: LqGame, K: StructuredGain, L: StructuredGain,
     U = sample_unit_sphere(game, side, count, rng)
     perturb = {"K_perturb": r * U} if side == "K" else {"L_perturb": r * U}
     costs, _ = batch_rollout(game, K, L, count, rng, **perturb)
-    blocks = (dim / r) * np.einsum("c,chpm->hpm", costs, U) / count
+    blocks = (dim / r) * (costs @ U.reshape(count, -1)).reshape(U.shape[1:]) / count
     return StructuredGain(side, tuple(blocks))
 
 

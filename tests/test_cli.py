@@ -126,6 +126,20 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     assert "config error" in err
 
 
+@pytest.mark.parametrize("mode, section, bad", [
+    ("zo-npg", "zo", {"tau2": float("nan")}),
+    ("zo-npg", "zo", {"M1": 10.5}),
+    ("zo-npg", "zo", {"T": 2.5}),
+    ("exact-npg", "solver", {"tau2": float("nan")}),
+    ("exact-npg", "solver", {"T": 2.5}),
+])
+def test_run_rejects_bad_solver_numbers(tmp_path, capsys, mode, section, bad):
+    cfg = write_config(tmp_path, mode=mode, seeds=[0], out=str(tmp_path / "o"),
+                       **{section: bad})
+    assert cli.main(["run", "--config", cfg]) == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_rejects_nash_mode(tmp_path, capsys):
     cfg = write_config(tmp_path, mode="nash")
     assert cli.main(["run", "--config", cfg]) == cli.EXIT_CONFIG

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lqgames import certify
+from lqgames import certify, exact
 from lqgames.exact import (DivergenceError, ExactSolverConfig, inner_npg_exact,
                            outer_npg_exact)
 from lqgames.model import (benchmark_game, benchmark_initial_gain,
@@ -22,11 +22,20 @@ def test_config_validation():
         ExactSolverConfig(inner_mode="bogus")
 
 
+@pytest.mark.parametrize("bad", [
+    {"tau1": float("nan")}, {"tau2": float("inf")}, {"eps1": float("nan")},
+    {"stop_gap": float("nan")}, {"T": 2.5}, {"T_in": 3.0}, {"inner_cap": "100"},
+])
+def test_config_rejects_nonfinite_and_noninteger(bad):
+    with pytest.raises(ValueError):
+        ExactSolverConfig(**bad)
+
+
 def test_inner_one_step_scalar(scalar):
     # L1 = L0 + tau1 * E = 0 + 0.1 * (-0.25)
     K = lift_gain([np.array([[0.5]])], side="K")
     cfg = ExactSolverConfig(tau1=0.1, inner_mode="fixed", T_in=1)
-    L, gaps = inner_npg_exact(scalar, K, zero_gain(scalar.game, "L"), cfg)
+    L, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar.game, "L"), cfg)
     assert L.blocks[0][0, 0] == pytest.approx(-0.025)
     assert len(gaps) == 2  # pre-update gap plus the post-loop gap
 
@@ -34,7 +43,7 @@ def test_inner_one_step_scalar(scalar):
 def test_inner_gap_mode_converges(scalar):
     K = lift_gain([np.array([[0.5]])], side="K")
     cfg = ExactSolverConfig(tau1=0.1, inner_mode="gap", eps1=1e-10)
-    L, gaps = inner_npg_exact(scalar, K, zero_gain(scalar.game, "L"), cfg)
+    L, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar.game, "L"), cfg)
     br = certify.best_response_L(scalar, K)
     assert abs(L.blocks[0][0, 0] - br.L.blocks[0][0, 0]) <= 1e-4
     assert gaps[-1] <= 1e-10
@@ -46,7 +55,7 @@ def test_inner_stationary_at_best_response(scalar):
     K = lift_gain([np.array([[0.5]])], side="K")
     br = certify.best_response_L(scalar, K)
     cfg = ExactSolverConfig(inner_mode="gap", eps1=1e-8)
-    L, gaps = inner_npg_exact(scalar, K, br.L, cfg)
+    L, gaps, _ = inner_npg_exact(scalar, K, br.L, cfg)
     assert len(gaps) == 1  # already within tolerance, no iterations needed
     assert L.blocks[0][0, 0] == pytest.approx(br.L.blocks[0][0, 0])
 
@@ -150,7 +159,28 @@ def test_inner_gap_mode_one_value_recursion_per_step(scalar, monkeypatch):
     br = certify.best_response_L(scalar, K)
     calls = _count_calls(monkeypatch, "value_blocks")
     cfg = ExactSolverConfig(tau1=0.1, inner_mode="gap", eps1=1e-10)
-    _, gaps = inner_npg_exact(scalar, K, zero_gain(scalar.game, "L"), cfg, br)
+    _, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar.game, "L"), cfg, br)
     assert len(gaps) > 2
     # one per inner step plus the final check, each recording one gap
     assert len(calls) == len(gaps)
+
+
+def test_outer_gap_mode_reuses_inner_value_blocks(scalar, monkeypatch):
+    # the step's natural gradient reads the value blocks of the inner loop's
+    # final gap check instead of recomputing them
+    sol = certify.solve_nash(scalar)
+    inner_gaps = []
+    inner = exact.inner_npg_exact
+
+    def recorded(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        inner_gaps.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(exact, "inner_npg_exact", recorded)
+    calls = _count_calls(monkeypatch, "value_blocks")
+    cfg = ExactSolverConfig(inner_mode="gap", tau1=0.1, eps1=1e-10, tau2=0.2, T=5)
+    outer_npg_exact(scalar, lift_gain([np.array([[0.8]])], side="K"), cfg,
+                    nash_value=sol.value)
+    assert len(inner_gaps) == 5
+    assert len(calls) == sum(inner_gaps)

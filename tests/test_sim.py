@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lqgames import certify, sim
-from lqgames.model import (benchmark_game, benchmark_initial_gain, lift_gain,
-                           scalar_demo_game, zero_gain)
+from lqgames.model import (NoiseModel, benchmark_game, benchmark_initial_gain,
+                           isotropic_noise, lift_gain, scalar_demo_game,
+                           zero_gain)
 
 
 def test_rng_stream_reproducible():
@@ -112,3 +115,81 @@ def test_batch_rollout_reproducible(seed, count):
                                return_states=True)
     assert np.array_equal(c1, c2)
     assert np.array_equal(s1, s2)
+
+
+def _with_noise(game, kind, isotropic):
+    """The benchmark game with isotropic or stage-varying full covariances."""
+    rng = np.random.default_rng(11)
+    if isotropic:
+        noise = isotropic_noise(game.m, game.horizon, sigma=0.05, kind=kind)
+    else:
+        blocks = []
+        for _ in range(game.horizon + 1):
+            a = rng.standard_normal((game.m, game.m))
+            blocks.append(0.02 * (a @ a.T) + 0.01 * np.eye(game.m))
+        noise = NoiseModel(kind=kind, covariance_blocks=tuple(blocks),
+                           bound=NoiseModel.default_bound(blocks))
+    return dataclasses.replace(game, noise=noise)
+
+
+def _reference_rollout(game, K, L, xi, K_perturb=None, L_perturb=None):
+    """Per-sample loop over the plain formulas u = (K+dK)x, w = (L+dL)x,
+    cost x'Qx + u'Ru u - w'Rw w, x' = Ax - Bu - Dw + xi."""
+    count, N = xi.shape[0], game.horizon
+    costs = np.zeros(count)
+    states = np.empty_like(xi)
+    for c in range(count):
+        x = xi[c, 0]
+        for h in range(N):
+            states[c, h] = x
+            Kh = K.blocks[h] + (0.0 if K_perturb is None else K_perturb[c, h])
+            Lh = L.blocks[h] + (0.0 if L_perturb is None else L_perturb[c, h])
+            u, w = Kh @ x, Lh @ x
+            costs[c] += x @ game.Q[h] @ x + u @ game.Ru[h] @ u - w @ game.Rw[h] @ w
+            x = game.A[h] @ x - game.B[h] @ u - game.D[h] @ w + xi[c, h + 1]
+        states[c, N] = x
+        costs[c] += x @ game.Q[N] @ x
+    return costs, states
+
+
+@pytest.mark.parametrize("kind, isotropic", [("truncated-gaussian", True),
+                                             ("truncated-gaussian", False),
+                                             ("scaled-uniform", True),
+                                             ("scaled-uniform", False)])
+@pytest.mark.parametrize("perturbed", ["none", "K", "L", "both"])
+def test_batch_rollout_matches_plain_formulas(kind, isotropic, perturbed):
+    g = _with_noise(benchmark_game(), kind, isotropic)
+    K = benchmark_initial_gain()
+    L = lift_gain([0.1 * np.ones((g.n, g.m))] * g.horizon, side="L")
+    count = 40
+    rng = np.random.default_rng(3)
+    perturb = {}
+    if perturbed in ("K", "both"):
+        perturb["K_perturb"] = 0.1 * rng.standard_normal((count, g.horizon, g.d, g.m))
+    if perturbed in ("L", "both"):
+        perturb["L_perturb"] = 0.1 * rng.standard_normal((count, g.horizon, g.n, g.m))
+    costs, states = sim.batch_rollout(g, K, L, count, sim.RngStream(8).generator(),
+                                      return_states=True, **perturb)
+    xi = g.noise.sample(count, sim.RngStream(8).generator())
+    ref_costs, ref_states = _reference_rollout(g, K, L, xi, **perturb)
+    assert np.abs(costs - ref_costs).max() <= 1e-12 * np.abs(ref_costs).max()
+    assert np.abs(states - ref_states).max() <= 1e-12 * np.abs(ref_states).max()
+    plain, none = sim.batch_rollout(g, K, L, count, sim.RngStream(8).generator(), **perturb)
+    assert none is None
+    assert np.array_equal(plain, costs)
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 2.7, None])
+def test_noise_sample_stream_layout(sigma):
+    # block after block from one generator, each a standard-normal draw
+    # times the transposed Cholesky factor, bitwise
+    g = benchmark_game()
+    if sigma is None:
+        g = _with_noise(g, "truncated-gaussian", isotropic=False)
+    else:
+        g = dataclasses.replace(g, noise=isotropic_noise(g.m, g.horizon, sigma=sigma))
+    xi = g.noise.sample(500, sim.RngStream(4).generator())
+    rng = sim.RngStream(4).generator()
+    for i, cov in enumerate(g.noise.covariance_blocks):
+        expect = rng.standard_normal((500, g.m)) @ np.linalg.cholesky(cov).T
+        assert np.array_equal(xi[:, i, :], expect)

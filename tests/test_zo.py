@@ -21,6 +21,15 @@ def test_config_validation():
         zo.ZoConfig(gate_policy="drop")
 
 
+@pytest.mark.parametrize("bad", [
+    {"tau2": float("nan")}, {"r1": float("inf")}, {"tau1": float("inf")},
+    {"M1": 10.5}, {"M2": 1e4}, {"T": 2.5}, {"T_in": "10"}, {"M1": True},
+])
+def test_config_rejects_nonfinite_and_noninteger(bad):
+    with pytest.raises(ValueError):
+        zo.ZoConfig(**bad)
+
+
 def test_gain_dims():
     g = benchmark_game()
     assert zo.gain_dims(g, "K") == (3, 3, 45)
