@@ -55,25 +55,6 @@ def _check_pd(a: np.ndarray, name: str) -> None:
         raise ModelError(f"{name} is not positive definite (lambda_min={w.min():.3e})")
 
 
-def _sampling_factor(cov: np.ndarray) -> np.ndarray | float:
-    """Right factor turning unit-variance draws z into draws z @ chol' of ``cov``.
-
-    For cov = sigma * I this is the scalar sqrt(sigma) (the Cholesky
-    diagonal), and z * sqrt(sigma) equals z @ chol' bitwise.
-    """
-    chol = np.linalg.cholesky(cov)
-    if np.array_equal(cov, cov[0, 0] * np.eye(cov.shape[0])):
-        return float(chol[0, 0])
-    return chol.T
-
-
-def _scale(draws: np.ndarray, factor: np.ndarray | float) -> np.ndarray:
-    if isinstance(factor, float):
-        draws *= factor
-        return draws
-    return draws @ factor
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Bounded zero-mean noise for the initial state and per-stage disturbances.
@@ -89,8 +70,8 @@ class NoiseModel:
     covariance_blocks: tuple[np.ndarray, ...]
     bound: float
     fixed_initial_state: np.ndarray | None = None
-    # per block: the transposed Cholesky factor, or its diagonal as a float
-    # when the block is sigma * I (set in __post_init__, used by ``sample``)
+    # per block: the transposed Cholesky factor (set in __post_init__, used
+    # by ``sample``)
     _factors: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
@@ -117,7 +98,7 @@ class NoiseModel:
         elif self.fixed_initial_state is not None:
             raise ModelError("fixed initial state only valid for deterministic-zero noise")
         if self.kind != "deterministic-zero":
-            object.__setattr__(self, "_factors", tuple(_sampling_factor(b) for b in blocks))
+            object.__setattr__(self, "_factors", tuple(np.linalg.cholesky(b).T for b in blocks))
 
     @property
     def dim(self) -> int:
@@ -145,14 +126,14 @@ class NoiseModel:
         bound_sq = self.bound * self.bound
         for i, factor in enumerate(self._factors):
             if self.kind == "truncated-gaussian":
-                draws = _scale(rng.standard_normal((count, m)), factor)
+                draws = rng.standard_normal((count, m)) @ factor
                 bad = np.einsum("ci,ci->c", draws, draws) > bound_sq
                 # rejection loop; with the default bound this almost never runs
                 while bad.any():
-                    draws[bad] = _scale(rng.standard_normal((int(bad.sum()), m)), factor)
+                    draws[bad] = rng.standard_normal((int(bad.sum()), m)) @ factor
                     bad = np.einsum("ci,ci->c", draws, draws) > bound_sq
             else:  # scaled-uniform: unit-variance uniform coordinates
-                draws = _scale(rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(count, m)), factor)
+                draws = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(count, m)) @ factor
             out[:, i, :] = draws
         return out
 
