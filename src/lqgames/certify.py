@@ -3,17 +3,18 @@
 All quantities decompose stage-wise thanks to the nilpotent lifted closed
 loop: value matrices come from a backward recursion, state covariances from
 a forward recursion, and the exact Nash solution from a generalized Riccati
-difference recursion.
+difference recursion.  Every function works on the stacked stage arrays of
+``LqGame`` and ``StructuredGain``: stage-wise terms are formed for all stages
+at once, and only the recursions loop over the horizon.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .model import CompactOperators, LqGame, StructuredGain, build_compact
+from .model import LqGame, StructuredGain
 
 # "PSD" means lambda_min >= -PSD_TOL * (1 + ||.||); H is declared singular
 # below PD_TOL relative to its norm.
@@ -37,199 +38,205 @@ class NashInfeasibleError(RuntimeError):
             "the upper value of the game is unbounded")
 
 
-def _ops(game_or_ops) -> CompactOperators:
-    if isinstance(game_or_ops, CompactOperators):
-        return game_or_ops
-    return build_compact(game_or_ops)
+def _T(a: np.ndarray) -> np.ndarray:
+    return a.swapaxes(-1, -2)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + _T(a))
 
 
-def stage_cost_blocks(ops: CompactOperators, K: StructuredGain, L: StructuredGain) -> list[np.ndarray]:
-    """Blocks of Q + K'RuK - L'RwL (terminal block is plain Q_N)."""
-    g = ops.game
-    out = [g.Q[h] + K.blocks[h].T @ g.Ru[h] @ K.blocks[h] - L.blocks[h].T @ g.Rw[h] @ L.blocks[h]
-           for h in range(g.horizon)]
-    out.append(g.Q[g.horizon])
-    return out
+def closed_loop_blocks(game: LqGame, K: StructuredGain, L: StructuredGain) -> np.ndarray:
+    """Stage blocks of A - B K - D L, shape (N, m, m)."""
+    return game.A - game.B @ K.blocks - game.D @ L.blocks
 
 
-def value_blocks(ops, K: StructuredGain, L: StructuredGain) -> list[np.ndarray]:
-    """Backward recursion for the value matrix blocks P_0..P_N."""
-    ops = _ops(ops)
-    g = ops.game
-    M = stage_cost_blocks(ops, K, L)
-    acl = ops.closed_loop_blocks(K, L)
-    P = [None] * (g.horizon + 1)
-    P[g.horizon] = g.Q[g.horizon]
-    for h in range(g.horizon - 1, -1, -1):
+def stage_cost_blocks(game: LqGame, K: StructuredGain, L: StructuredGain) -> np.ndarray:
+    """Blocks of Q + K'RuK - L'RwL, shape (N+1, m, m); the last is plain Q_N."""
+    Kb, Lb = K.blocks, L.blocks
+    M = game.Q.copy()
+    M[:-1] += _T(Kb) @ game.Ru @ Kb - _T(Lb) @ game.Rw @ Lb
+    return M
+
+
+def value_blocks(game: LqGame, K: StructuredGain, L: StructuredGain) -> np.ndarray:
+    """Backward recursion for the value matrix blocks P_0..P_N, shape (N+1, m, m)."""
+    M = stage_cost_blocks(game, K, L)
+    acl = closed_loop_blocks(game, K, L)
+    P = np.empty_like(M)
+    P[-1] = game.Q[-1]
+    for h in range(game.horizon - 1, -1, -1):
         P[h] = _sym(M[h] + acl[h].T @ P[h + 1] @ acl[h])
     return P
 
 
-def expected_cost(ops, P: Sequence[np.ndarray]) -> float:
+def expected_cost(game: LqGame, P: np.ndarray) -> float:
     """Tr(P Sigma_0) for value blocks P: the expected total cost they price."""
-    cov = _ops(ops).game.noise.covariance_blocks
-    return float(sum(np.trace(p @ c) for p, c in zip(P, cov)))
+    return float(np.einsum("hij,hji->", P, game.noise.covariance_blocks))
 
 
-def covariance_blocks(ops, K: StructuredGain, L: StructuredGain) -> list[np.ndarray]:
-    """Forward recursion for the per-stage state second moments."""
-    ops = _ops(ops)
-    g = ops.game
-    acl = ops.closed_loop_blocks(K, L)
-    cov = g.noise.covariance_blocks
-    S = [cov[0]]
-    for h in range(g.horizon):
-        S.append(_sym(acl[h] @ S[h] @ acl[h].T + cov[h + 1]))
+def covariance_blocks(game: LqGame, K: StructuredGain, L: StructuredGain) -> np.ndarray:
+    """Forward recursion for the per-stage state second moments, shape (N+1, m, m)."""
+    acl = closed_loop_blocks(game, K, L)
+    cov = game.noise.covariance_blocks
+    S = np.empty_like(cov)
+    S[0] = cov[0]
+    for h in range(game.horizon):
+        S[h + 1] = _sym(acl[h] @ S[h] @ acl[h].T + cov[h + 1])
     return S
 
 
-def objective(ops, K: StructuredGain, L: StructuredGain) -> float:
+def objective(game: LqGame, K: StructuredGain, L: StructuredGain) -> float:
     """Tr(P Sigma_0), the expected total cost under (K, L)."""
-    ops = _ops(ops)
-    return expected_cost(ops, value_blocks(ops, K, L))
+    return expected_cost(game, value_blocks(game, K, L))
 
 
-def disturbance_margin_blocks(ops, P: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Blocks of H = Rw - D'PD (stage h uses P_{h+1})."""
-    ops = _ops(ops)
-    g = ops.game
-    return [g.Rw[h] - g.D[h].T @ P[h + 1] @ g.D[h] for h in range(g.horizon)]
-
-
-def natural_gradients(ops, K: StructuredGain, L: StructuredGain,
-                      P: Sequence[np.ndarray] | None = None) -> tuple[StructuredGain, StructuredGain]:
+def natural_gradients(game: LqGame, K: StructuredGain, L: StructuredGain,
+                      P: np.ndarray | None = None) -> tuple[StructuredGain, StructuredGain]:
     """Natural-gradient pair (F, E); the raw gradients are 2 F Sigma, 2 E Sigma."""
-    ops = _ops(ops)
-    g = ops.game
     if P is None:
-        P = value_blocks(ops, K, L)
-    F, E = [], []
-    for h in range(g.horizon):
-        Pn = P[h + 1]
-        AL = g.A[h] - g.D[h] @ L.blocks[h]
-        AK = g.A[h] - g.B[h] @ K.blocks[h]
-        F.append((g.Ru[h] + g.B[h].T @ Pn @ g.B[h]) @ K.blocks[h] - g.B[h].T @ Pn @ AL)
-        E.append((-g.Rw[h] + g.D[h].T @ Pn @ g.D[h]) @ L.blocks[h] - g.D[h].T @ Pn @ AK)
-    return (StructuredGain("K", tuple(F)), StructuredGain("L", tuple(E)))
+        P = value_blocks(game, K, L)
+    Pn = P[1:]
+    BtP = _T(game.B) @ Pn
+    DtP = _T(game.D) @ Pn
+    AL = game.A - game.D @ L.blocks
+    AK = game.A - game.B @ K.blocks
+    F = (game.Ru + BtP @ game.B) @ K.blocks - BtP @ AL
+    E = (DtP @ game.D - game.Rw) @ L.blocks - DtP @ AK
+    return StructuredGain("K", F), StructuredGain("L", E)
 
 
 @dataclass(frozen=True)
 class ValueCertificate:
     """Everything the model-based path knows about a gain pair."""
 
-    P_blocks: tuple[np.ndarray, ...]
-    Sigma_blocks: tuple[np.ndarray, ...]
+    P_blocks: np.ndarray
+    Sigma_blocks: np.ndarray
     F: StructuredGain
     E: StructuredGain
-    H_blocks: tuple[np.ndarray, ...]
+    H_blocks: np.ndarray
     objective: float
 
     def to_dict(self) -> dict:
         return {
             "objective": self.objective,
-            "P_blocks": [p.tolist() for p in self.P_blocks],
-            "Sigma_blocks": [s.tolist() for s in self.Sigma_blocks],
-            "F_blocks": [b.tolist() for b in self.F.blocks],
-            "E_blocks": [b.tolist() for b in self.E.blocks],
-            "H_blocks": [h.tolist() for h in self.H_blocks],
+            "P_blocks": self.P_blocks.tolist(),
+            "Sigma_blocks": self.Sigma_blocks.tolist(),
+            "F_blocks": self.F.blocks.tolist(),
+            "E_blocks": self.E.blocks.tolist(),
+            "H_blocks": self.H_blocks.tolist(),
         }
 
 
-def certificate(ops, K: StructuredGain, L: StructuredGain) -> ValueCertificate:
-    ops = _ops(ops)
-    P = value_blocks(ops, K, L)
-    S = covariance_blocks(ops, K, L)
-    F, E = natural_gradients(ops, K, L, P)
-    H = disturbance_margin_blocks(ops, P)
-    return ValueCertificate(tuple(P), tuple(S), F, E, tuple(H), expected_cost(ops, P))
+def certificate(game: LqGame, K: StructuredGain, L: StructuredGain) -> ValueCertificate:
+    P = value_blocks(game, K, L)
+    S = covariance_blocks(game, K, L)
+    F, E = natural_gradients(game, K, L, P)
+    H = game.Rw - _T(game.D) @ P[1:] @ game.D  # stage h uses P_{h+1}
+    return ValueCertificate(P, S, F, E, H, expected_cost(game, P))
 
 
 @dataclass(frozen=True)
 class BestResponse:
-    """Stage-wise inner maximizer L(K) with its value recursion."""
+    """Stage-wise inner maximizer L(K) with its value recursion.
+
+    ``H_eigvals`` and ``P_eigvals`` hold the ascending eigenvalues of each
+    margin block H_h = Rw_h - D_h' P_{h+1} D_h and value block P_h (NaN where
+    a block is not finite), so set tests need no further decomposition.
+    """
 
     L: StructuredGain
-    P_blocks: tuple[np.ndarray, ...]
-    H_blocks: tuple[np.ndarray, ...]
+    P_blocks: np.ndarray
+    H_blocks: np.ndarray
+    H_eigvals: np.ndarray
+    P_eigvals: np.ndarray
     feasible: bool
     violating_stage: int | None = None
     lam_min: float | None = None
 
     @property
     def min_margin(self) -> float:
-        return min(float(np.linalg.eigvalsh(h).min()) for h in self.H_blocks)
+        return float(self.H_eigvals[:, 0].min())
 
 
-def best_response_L(ops, K: StructuredGain) -> BestResponse:
+def _eigvalsh_finite(blocks: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of symmetric blocks; NaN for a non-finite input,
+    on which LAPACK may raise or return finite values."""
+    if np.isfinite(blocks).all():
+        return np.linalg.eigvalsh(blocks)
+    return np.full(blocks.shape[:-1], np.nan)
+
+
+def best_response_L(game: LqGame, K: StructuredGain) -> BestResponse:
     """Exact inner maximization via the stage-wise Riccati recursion.
 
     Returns ``feasible=False`` (never raises) when some stage margin
-    Rw - D'PD fails to be positive definite or the value recursion leaves
-    the PSD cone.
+    Rw - D'PD fails to be positive definite, the value recursion leaves the
+    PSD cone, or a margin or value block is not finite (``lam_min`` is then
+    NaN).  ||H||_2 and ||P||_2 are the largest |eigenvalue| of the blocks.
     """
-    ops = _ops(ops)
-    g = ops.game
-    N = g.horizon
-    P: list[np.ndarray | None] = [None] * (N + 1)
+    g = game
+    N, m, n = g.horizon, g.m, g.n
+    Kb = K.blocks
+    AK = g.A - g.B @ Kb
+    base = g.Q[:-1] + _T(Kb) @ g.Ru @ Kb
+    Dt = _T(g.D)
+    P = np.empty_like(g.Q)
     P[N] = g.Q[N]
-    Lb: list[np.ndarray] = [np.zeros((g.n, g.m))] * N
-    Hb: list[np.ndarray] = [np.zeros((g.n, g.n))] * N
+    Lb = np.zeros((N, n, m))
+    Hb = np.empty_like(g.Rw)
+    wH = np.empty((N, n))
     feasible = True
     stage = None
     lam_bad = None
     for h in range(N - 1, -1, -1):
         Pn = P[h + 1]
-        H = _sym(g.Rw[h] - g.D[h].T @ Pn @ g.D[h])
-        Hb[h] = H
-        lam = float(np.linalg.eigvalsh(H).min())
-        if lam <= PD_TOL * (1.0 + float(np.linalg.norm(H, 2))):
+        DtP = Dt[h] @ Pn
+        H = Hb[h] = _sym(g.Rw[h] - DtP @ g.D[h])
+        w = wH[h] = _eigvalsh_finite(H)
+        if not w[0] > PD_TOL * (1.0 + max(-w[0], w[-1])):
             feasible = False
             stage = h
-            lam_bad = lam
+            lam_bad = float(w[0])
             # keep recursing with the unregularized value so the report is
             # complete, but skip the (ill-defined) response at this stage
-            AK = g.A[h] - g.B[h] @ K.blocks[h]
-            P[h] = _sym(g.Q[h] + K.blocks[h].T @ g.Ru[h] @ K.blocks[h] + AK.T @ Pn @ AK)
+            P[h] = _sym(base[h] + AK[h].T @ Pn @ AK[h])
             continue
-        PD = Pn @ g.D[h]
-        Ptil = _sym(Pn + PD @ np.linalg.solve(H, PD.T))
-        AK = g.A[h] - g.B[h] @ K.blocks[h]
-        Lb[h] = -np.linalg.solve(H, g.D[h].T @ Pn @ AK)
-        P[h] = _sym(g.Q[h] + K.blocks[h].T @ g.Ru[h] @ K.blocks[h] + AK.T @ Ptil @ AK)
+        # one solve for H^-1 D'P and H^-1 D'P AK (the same bits as two)
+        X = np.linalg.solve(H, np.concatenate([DtP, DtP @ AK[h]], axis=1))
+        Lb[h] = -X[:, m:]
+        Ptil = _sym(Pn + DtP.T @ X[:, :m])
+        P[h] = _sym(base[h] + AK[h].T @ Ptil @ AK[h])
+    wP = _eigvalsh_finite(P)
     if feasible:
-        for h, p in enumerate(P):
-            lam = float(np.linalg.eigvalsh(p).min())
-            if lam < -PSD_TOL * (1.0 + float(np.linalg.norm(p, 2))):
-                feasible = False
-                stage = h
-                lam_bad = lam
-                break
+        bad = ~(wP[:, 0] >= -PSD_TOL * (1.0 + np.abs(wP).max(axis=1)))
+        if bad.any():
+            feasible = False
+            stage = int(np.argmax(bad))
+            lam_bad = float(wP[stage, 0])
     return BestResponse(
-        L=StructuredGain("L", tuple(Lb)),
-        P_blocks=tuple(P),
-        H_blocks=tuple(Hb),
+        L=StructuredGain("L", Lb),
+        P_blocks=P,
+        H_blocks=Hb,
+        H_eigvals=wH,
+        P_eigvals=wP,
         feasible=feasible,
         violating_stage=stage,
         lam_min=lam_bad,
     )
 
 
-def primal_value(ops, K: StructuredGain) -> float:
+def primal_value(game: LqGame, K: StructuredGain) -> float:
     """G(K, L(K)): the objective after exact inner maximization."""
-    ops = _ops(ops)
-    br = best_response_L(ops, K)
+    br = best_response_L(game, K)
     if not br.feasible:
         raise NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0)
-    return expected_cost(ops, br.P_blocks)
+    return expected_cost(game, br.P_blocks)
 
 
 @dataclass(frozen=True)
 class NashSolution:
-    Pstar_blocks: tuple[np.ndarray, ...]
+    Pstar_blocks: np.ndarray
     Kstar: StructuredGain
     Lstar: StructuredGain
     value: float
@@ -239,36 +246,37 @@ class NashSolution:
         return {
             "value": self.value,
             "margin": self.margin,
-            "Kstar_blocks": [b.tolist() for b in self.Kstar.blocks],
-            "Lstar_blocks": [b.tolist() for b in self.Lstar.blocks],
-            "Pstar_blocks": [p.tolist() for p in self.Pstar_blocks],
+            "Kstar_blocks": self.Kstar.blocks.tolist(),
+            "Lstar_blocks": self.Lstar.blocks.tolist(),
+            "Pstar_blocks": self.Pstar_blocks.tolist(),
         }
 
 
-def solve_nash(game_or_ops) -> NashSolution:
+def solve_nash(game: LqGame) -> NashSolution:
     """Exact Nash equilibrium via the generalized Riccati difference recursion.
 
     Gains are recovered per stage by eliminating the maximizer's first-order
     condition, then the result is post-verified for stationarity.
     """
-    ops = _ops(game_or_ops)
-    g = ops.game
+    g = game
     N = g.horizon
-    P: list[np.ndarray | None] = [None] * (N + 1)
+    # B Ru^-1 B' - D Rw^-1 D' for every stage
+    coupling = g.B @ np.linalg.solve(g.Ru, _T(g.B)) - g.D @ np.linalg.solve(g.Rw, _T(g.D))
+    P = np.empty_like(g.Q)
     P[N] = g.Q[N]
-    Kb: list[np.ndarray] = [None] * N
-    Lb: list[np.ndarray] = [None] * N
+    Kb = np.empty((N, g.d, g.m))
+    Lb = np.empty((N, g.n, g.m))
     margin = np.inf
     for h in range(N - 1, -1, -1):
         Pn = P[h + 1]
-        lamP = float(np.linalg.eigvalsh(_sym(Pn)).min())
+        wP = np.linalg.eigvalsh(Pn)
         H = _sym(g.Rw[h] - g.D[h].T @ Pn @ g.D[h])
-        lamH = float(np.linalg.eigvalsh(H).min())
-        if lamH <= 0.0 or lamP < -PSD_TOL * (1.0 + float(np.linalg.norm(Pn, 2))):
+        lamH = float(np.linalg.eigvalsh(H)[0])
+        lamP = float(wP[0])
+        if lamH <= 0.0 or lamP < -PSD_TOL * (1.0 + float(np.abs(wP).max())):
             raise NashInfeasibleError(h, lamH if lamH <= 0.0 else lamP)
         margin = min(margin, lamH)
-        Lam = np.eye(g.m) + (g.B[h] @ np.linalg.solve(g.Ru[h], g.B[h].T)
-                             - g.D[h] @ np.linalg.solve(g.Rw[h], g.D[h].T)) @ Pn
+        Lam = np.eye(g.m) + coupling[h] @ Pn
         try:
             inner = np.linalg.solve(Lam, g.A[h])
         except np.linalg.LinAlgError as exc:
@@ -281,15 +289,15 @@ def solve_nash(game_or_ops) -> NashSolution:
         Ptil = _sym(Pn + PD @ np.linalg.solve(H, PD.T))
         Kb[h] = np.linalg.solve(g.Ru[h] + g.B[h].T @ Ptil @ g.B[h], g.B[h].T @ Ptil @ g.A[h])
         Lb[h] = -np.linalg.solve(H, g.D[h].T @ Pn @ (g.A[h] - g.B[h] @ Kb[h]))
-    Kstar = StructuredGain("K", tuple(Kb))
-    Lstar = StructuredGain("L", tuple(Lb))
-    value = expected_cost(ops, P)
-    F, E = natural_gradients(ops, Kstar, Lstar, P)
+    Kstar = StructuredGain("K", Kb)
+    Lstar = StructuredGain("L", Lb)
+    value = expected_cost(g, P)
+    F, E = natural_gradients(g, Kstar, Lstar, P)
     resF, resE = F.frobenius_norm(), E.frobenius_norm()
     if max(resF, resE) > 1e-8 * (1.0 + abs(value)):
         raise np.linalg.LinAlgError(
             f"Nash gain recovery failed stationarity check: |F|={resF:.3e}, |E|={resE:.3e}")
-    return NashSolution(tuple(P), Kstar, Lstar, value, float(margin))
+    return NashSolution(P, Kstar, Lstar, value, float(margin))
 
 
 @dataclass(frozen=True)
@@ -302,16 +310,14 @@ class FeasibilityReport:
     violating_stage: int | None = None
 
 
-def in_feasible_set(ops, K: StructuredGain) -> FeasibilityReport:
+def in_feasible_set(game: LqGame, K: StructuredGain) -> FeasibilityReport:
     """Membership in the admissible set: P_{K,L(K)} PSD and Rw - D'PD PD."""
-    ops = _ops(ops)
-    br = best_response_L(ops, K)
+    br = best_response_L(game, K)
+    wP = br.P_eigvals
     lamH = br.min_margin
-    lamP = min(float(np.linalg.eigvalsh(p).min()) for p in br.P_blocks)
-    normH = max(float(np.linalg.norm(h, 2)) for h in br.H_blocks)
-    normP = max(float(np.linalg.norm(p, 2)) for p in br.P_blocks)
-    margin_pd = lamH > PD_TOL * (1.0 + normH)
-    value_psd = lamP >= -PSD_TOL * (1.0 + normP)
+    lamP = float(wP[:, 0].min())
+    margin_pd = lamH > PD_TOL * (1.0 + float(np.abs(br.H_eigvals).max()))
+    value_psd = lamP >= -PSD_TOL * (1.0 + float(np.abs(wP).max()))
     stage = br.violating_stage if not (margin_pd and value_psd) else None
     return FeasibilityReport(
         member=bool(margin_pd and value_psd),
@@ -330,32 +336,30 @@ class KhatReport:
     lambda_min_P: float
 
 
-def anchor_certificate(ops, K0: StructuredGain) -> BestResponse:
+def anchor_certificate(game: LqGame, K0: StructuredGain) -> BestResponse:
     """Best-response certificate of the starting gain, reused for set tests."""
-    ops = _ops(ops)
-    br = best_response_L(ops, K0)
+    br = best_response_L(game, K0)
     if not br.feasible:
         raise NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0)
     return br
 
 
-def in_Khat_set(ops, K: StructuredGain, K0_certificate: BestResponse) -> KhatReport:
+def in_Khat_set(game: LqGame, K: StructuredGain, K0_certificate: BestResponse) -> KhatReport:
     """Membership of K in the anchored sublevel set around a feasible start."""
-    ops = _ops(ops)
-    return khat_report(best_response_L(ops, K), khat_bound(ops, K0_certificate))
+    return khat_report(best_response_L(game, K), khat_bound(game, K0_certificate))
 
 
-def khat_bound(ops, K0_certificate: BestResponse) -> tuple[np.ndarray, ...]:
+def khat_bound(game: LqGame, K0_certificate: BestResponse) -> np.ndarray:
     """Upper blocks P_0 + lambda_min(H_0) / (2 |D|^2) * I of the anchored set.
 
     Fixed by the anchor, so a run computes them once.
     """
-    ops = _ops(ops)
-    shift = K0_certificate.min_margin / (2.0 * ops.norm_D() ** 2)
-    return tuple(P0 + shift * np.eye(P0.shape[0]) for P0 in K0_certificate.P_blocks)
+    norm_D = float(np.linalg.norm(game.D, 2, axis=(1, 2)).max())
+    shift = K0_certificate.min_margin / (2.0 * norm_D ** 2)
+    return K0_certificate.P_blocks + shift * np.eye(game.m)
 
 
-def khat_report(br: BestResponse, bound_blocks: Sequence[np.ndarray]) -> KhatReport:
+def khat_report(br: BestResponse, bound_blocks: np.ndarray) -> KhatReport:
     """Anchored-set test on the best-response certificate ``br`` of a gain.
 
     Tests 0 <= P_{K,L(K)} <= ``bound_blocks`` (from ``khat_bound``) blockwise
@@ -363,30 +367,8 @@ def khat_report(br: BestResponse, bound_blocks: Sequence[np.ndarray]) -> KhatRep
     """
     if not br.feasible:
         return KhatReport(member=False, slack=-np.inf, lambda_min_P=br.lam_min or -np.inf)
-    slack = np.inf
-    lamP = np.inf
-    for P, bound in zip(br.P_blocks, bound_blocks):
-        slack = min(slack, float(np.linalg.eigvalsh(_sym(bound - P)).min()))
-        lamP = min(lamP, float(np.linalg.eigvalsh(_sym(P)).min()))
-    normP = max(float(np.linalg.norm(p, 2)) for p in br.P_blocks)
-    member = slack >= -PSD_TOL * (1.0 + normP) and lamP >= -PSD_TOL * (1.0 + normP)
-    return KhatReport(member=bool(member), slack=float(slack), lambda_min_P=float(lamP))
-
-
-def lqr_cost_oracle(game: LqGame) -> float:
-    """Classical finite-horizon LQR cost by dynamic programming (D ignored).
-
-    Separate code path used to cross-check solve_nash when the disturbance
-    channel vanishes.
-    """
-    g = game
-    N = g.horizon
-    total = 0.0
-    Ps = [g.Q[N]]
-    for h in range(N - 1, -1, -1):
-        BtP = g.B[h].T @ Ps[0]
-        K = np.linalg.solve(g.Ru[h] + BtP @ g.B[h], BtP @ g.A[h])
-        Ps.insert(0, _sym(g.Q[h] + g.A[h].T @ Ps[0] @ (g.A[h] - g.B[h] @ K)))
-    for P_h, cov in zip(Ps, g.noise.covariance_blocks):
-        total += float(np.trace(P_h @ cov))
-    return total
+    slack = float(np.linalg.eigvalsh(_sym(bound_blocks - br.P_blocks))[:, 0].min())
+    lamP = float(br.P_eigvals[:, 0].min())
+    tol = -PSD_TOL * (1.0 + float(np.abs(br.P_eigvals).max()))
+    member = slack >= tol and lamP >= tol
+    return KhatReport(member=bool(member), slack=slack, lambda_min_P=lamP)

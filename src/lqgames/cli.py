@@ -55,6 +55,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        seeds = self.seeds
+        if (not isinstance(seeds, tuple) or not seeds
+                or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds)):
+            shown = list(seeds) if isinstance(seeds, tuple) else seeds
+            raise ConfigError(f"seeds must be a non-empty list of non-negative integers, got {shown!r}")
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -71,8 +76,8 @@ def load_config(path: str | None) -> ExperimentConfig:
     extra = set(doc) - known
     if extra:
         raise ConfigError(f"unknown config keys: {sorted(extra)}")
-    if "seeds" in doc:
-        doc["seeds"] = tuple(int(s) for s in doc["seeds"])
+    if isinstance(doc.get("seeds"), list):
+        doc["seeds"] = tuple(doc["seeds"])
     try:
         return ExperimentConfig(**doc)
     except TypeError as exc:
@@ -80,16 +85,24 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 
 def _resolve_initial_gain(config: ExperimentConfig, game: LqGame) -> StructuredGain:
+    """The starting gain: "zero", "benchmark" or a list of d x m stage blocks."""
     spec = config.initial_gain
     if spec is None:
-        if config.game == "benchmark":
-            return benchmark_initial_gain()
-        return zero_gain(game, "K")
+        spec = "benchmark" if config.game == "benchmark" else "zero"
     if spec == "zero":
         return zero_gain(game, "K")
     if spec == "benchmark":
-        return benchmark_initial_gain()
-    return lift_gain([np.array(b, dtype=float) for b in spec], side="K")
+        K0 = benchmark_initial_gain()
+    elif isinstance(spec, list):
+        K0 = lift_gain(spec, side="K")
+    else:
+        raise ConfigError(f"initial_gain must be 'zero', 'benchmark' or a list of blocks, got {spec!r}")
+    expected = (game.horizon, game.d, game.m)
+    if K0.blocks.shape != expected:
+        raise ConfigError(f"initial_gain has shape {K0.blocks.shape}, expected (N, d, m) = {expected}")
+    if not np.isfinite(K0.blocks).all():
+        raise ConfigError("initial_gain has non-finite entries")
+    return K0
 
 
 def _solver_config(config: ExperimentConfig) -> ExactSolverConfig:
@@ -162,7 +175,7 @@ def cmd_run(config: ExperimentConfig, out: Path, timings: bool) -> int:
         csv_path = out / f"trace_seed{seed}.csv"
         try:
             if config.mode == "exact-npg":
-                _, trace = outer_npg_exact(game.compact(), K0, _solver_config(config),
+                _, trace = outer_npg_exact(game, K0, _solver_config(config),
                                            nash_value=nash_value)
             else:
                 _, trace = outer_zo_npg(game, K0, _zo_config(config, seed),

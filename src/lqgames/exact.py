@@ -18,7 +18,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from . import certify
-from .model import CompactOperators, StructuredGain, zero_gain
+from .model import LqGame, StructuredGain, zero_gain
 from .trace import RunTrace, TraceRow
 
 DIVERGENCE_FACTOR = 10.0
@@ -74,10 +74,10 @@ class ExactSolverConfig:
             raise ValueError(f"unknown inner mode {self.inner_mode!r}")
 
 
-def inner_npg_exact(ops: CompactOperators, K: StructuredGain, L0: StructuredGain,
+def inner_npg_exact(game: LqGame, K: StructuredGain, L0: StructuredGain,
                     config: ExactSolverConfig,
                     br: certify.BestResponse | None = None
-                    ) -> tuple[StructuredGain, list[float], list[np.ndarray]]:
+                    ) -> tuple[StructuredGain, list[float], np.ndarray]:
     """Natural gradient ascent on L at fixed K; returns (L, gap trace, P).
 
     ``P`` holds the value blocks of the returned L, already computed for its
@@ -85,23 +85,23 @@ def inner_npg_exact(ops: CompactOperators, K: StructuredGain, L0: StructuredGain
     best response ``br`` (computed here when not given) drops below ``eps1``.
     """
     if br is None:
-        br = certify.best_response_L(ops, K)
+        br = certify.best_response_L(game, K)
     if not br.feasible:
         raise certify.NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0)
-    opt_val = certify.expected_cost(ops, br.P_blocks)
+    opt_val = certify.expected_cost(game, br.P_blocks)
     L = L0
     gaps: list[float] = []
     limit = config.T_in if config.inner_mode == "fixed" else config.inner_cap
     for k in range(limit):
-        P = certify.value_blocks(ops, K, L)
-        gap = opt_val - certify.expected_cost(ops, P)
+        P = certify.value_blocks(game, K, L)
+        gap = opt_val - certify.expected_cost(game, P)
         gaps.append(gap)
         if config.inner_mode == "gap" and gap <= config.eps1:
             return L, gaps, P
-        _, E = certify.natural_gradients(ops, K, L, P)
+        _, E = certify.natural_gradients(game, K, L, P)
         L = L + E.scale(config.tau1)
-    P = certify.value_blocks(ops, K, L)
-    gap = opt_val - certify.expected_cost(ops, P)
+    P = certify.value_blocks(game, K, L)
+    gap = opt_val - certify.expected_cost(game, P)
     gaps.append(gap)
     if config.inner_mode == "gap" and gap > config.eps1:
         raise InnerLoopError(
@@ -115,7 +115,10 @@ StepOracle = Callable[[int, StructuredGain, certify.BestResponse],
                       tuple[StructuredGain, tuple[int, int, int] | None]]
 
 
-def _outer_descent(ops: CompactOperators, K0: StructuredGain, step_oracle: StepOracle,
+# an iterate that overflows fails best_response_L's finiteness test and ends
+# the run with DivergenceError, so numpy's float warnings add nothing
+@np.errstate(over="ignore", invalid="ignore")
+def _outer_descent(game: LqGame, K0: StructuredGain, step_oracle: StepOracle,
                    T: int, tau2: float, nash_value: float | None,
                    stop_gap: float | None = None,
                    stochastic: bool = False) -> tuple[StructuredGain, RunTrace]:
@@ -127,20 +130,20 @@ def _outer_descent(ops: CompactOperators, K0: StructuredGain, step_oracle: StepO
     oracle's sample and gate counts.
     """
     if nash_value is None:
-        nash_value = certify.solve_nash(ops).value
-    khat_bound = certify.khat_bound(ops, certify.anchor_certificate(ops, K0))
+        nash_value = certify.solve_nash(game).value
+    khat_bound = certify.khat_bound(game, certify.anchor_certificate(game, K0))
     K = K0
     trace = RunTrace(stochastic=stochastic)
     initial_obj: float | None = None
     totals = (0, 0, 0)
     t0 = time.perf_counter()
     for t in range(T):
-        br = certify.best_response_L(ops, K)
+        br = certify.best_response_L(game, K)
         if not br.feasible:
             raise DivergenceError(
                 f"iterate {t} left the feasible set at stage {br.violating_stage} "
                 f"(lambda_min={br.lam_min:g}); stepsize too large", trace)
-        primal = certify.expected_cost(ops, br.P_blocks)
+        primal = certify.expected_cost(game, br.P_blocks)
         if initial_obj is None:
             initial_obj = primal
         if primal > DIVERGENCE_FACTOR * initial_obj:
@@ -162,7 +165,7 @@ def _outer_descent(ops: CompactOperators, K0: StructuredGain, step_oracle: StepO
     return K, trace
 
 
-def outer_npg_exact(ops: CompactOperators, K0: StructuredGain,
+def outer_npg_exact(game: LqGame, K0: StructuredGain,
                     config: ExactSolverConfig,
                     nash_value: float | None = None) -> tuple[StructuredGain, RunTrace]:
     """Nested natural gradient descent on K with exact gradients.
@@ -175,9 +178,9 @@ def outer_npg_exact(ops: CompactOperators, K0: StructuredGain,
         if config.inner_mode == "exact":
             L, P = br.L, br.P_blocks
         else:
-            L, _, P = inner_npg_exact(ops, K, zero_gain(ops.game, "L"), config, br)
-        F, _ = certify.natural_gradients(ops, K, L, P)
+            L, _, P = inner_npg_exact(game, K, zero_gain(game, "L"), config, br)
+        F, _ = certify.natural_gradients(game, K, L, P)
         return F, None
 
-    return _outer_descent(ops, K0, exact_step, config.T, config.tau2, nash_value,
+    return _outer_descent(game, K0, exact_step, config.T, config.tau2, nash_value,
                           stop_gap=config.stop_gap)

@@ -1,10 +1,11 @@
-"""Finite-horizon zero-sum LQ game instances and their lifted block form.
+"""Finite-horizon zero-sum LQ game instances as stacked stage arrays.
 
 A game is described stage-wise by dynamics matrices ``A_h, B_h, D_h``
 (``h = 0..N-1``), cost weights ``Q_h`` (``h = 0..N``), ``Ru_h, Rw_h``
-(``h = 0..N-1``) and a bounded noise model.  The lifted form stacks all
-stages into a single block system whose closed loop is nilpotent, so every
-Lyapunov-type sum is finite and exact.
+(``h = 0..N-1``) and a bounded noise model.  Each family is held as one
+array with the stage index first, and a gain as one (N, p, m) array, so
+the oracles in ``certify`` work on all stages at once.  The dense lifted
+block form lives in ``verify``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -27,39 +28,58 @@ class ModelError(ValueError):
     """Raised when a game description is dimensionally or numerically invalid."""
 
 
-def _as_matrix(x, name: str) -> np.ndarray:
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2:
-        raise ModelError(f"{name} must be a 2-d matrix, got shape {a.shape}")
-    a = a.copy()
-    a.setflags(write=False)
-    return a
+def _stack(blocks, name: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Stack 2-d blocks into a read-only (count, rows, cols) float array.
+
+    Every block must have ``shape`` (by default the first block's); errors
+    name the offending block as ``name[i]``.
+    """
+    try:
+        out = np.array(blocks, dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric; diagnosed below
+        out = None
+    if (out is None or out.ndim != 3 or len(out) == 0
+            or (shape is not None and out.shape[1:] != shape)):
+        for i, b in enumerate(blocks):
+            try:
+                a = np.asarray(b, dtype=float)
+            except (TypeError, ValueError):
+                raise ModelError(f"{name}[{i}] is not a numeric matrix") from None
+            if a.ndim != 2:
+                raise ModelError(f"{name}[{i}] must be a 2-d matrix, got shape {a.shape}")
+            shape = a.shape if shape is None else shape
+            if a.shape != shape:
+                raise ModelError(f"{name}[{i}] has shape {a.shape}, expected {shape}")
+        raise ModelError(f"{name} needs at least one 2-d block")
+    out.setflags(write=False)
+    return out
 
 
-def _check_symmetric(a: np.ndarray, name: str) -> None:
-    if not np.allclose(a, a.T, atol=_SYM_TOL * (1.0 + np.abs(a).max(initial=0.0))):
-        raise ModelError(f"{name} is not symmetric")
+def _check_finite(stack: np.ndarray, name: str) -> None:
+    bad = ~np.isfinite(stack).all(axis=(1, 2))
+    if bad.any():
+        raise ModelError(f"{name}[{int(np.argmax(bad))}] has non-finite entries")
 
 
-def _check_psd(a: np.ndarray, name: str) -> None:
-    _check_symmetric(a, name)
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    if w.min() < -_SYM_TOL * (1.0 + abs(w.max())):
-        raise ModelError(f"{name} is not positive semidefinite (lambda_min={w.min():.3e})")
-
-
-def _check_pd(a: np.ndarray, name: str) -> None:
-    _check_symmetric(a, name)
-    w = np.linalg.eigvalsh(0.5 * (a + a.T))
-    if w.min() <= _SYM_TOL * (1.0 + abs(w.max())):
-        raise ModelError(f"{name} is not positive definite (lambda_min={w.min():.3e})")
+def _check_definite(stack: np.ndarray, name: str, strict: bool) -> None:
+    """Every block symmetric and positive semidefinite (definite if ``strict``)."""
+    for i, a in enumerate(stack):
+        if not np.allclose(a, a.T, atol=_SYM_TOL * (1.0 + np.abs(a).max(initial=0.0))):
+            raise ModelError(f"{name}[{i}] is not symmetric")
+    w = np.linalg.eigvalsh(0.5 * (stack + stack.swapaxes(1, 2)))
+    floor = _SYM_TOL * (1.0 + np.abs(w[:, -1]))
+    bad = w[:, 0] <= floor if strict else w[:, 0] < -floor
+    if bad.any():
+        i = int(np.argmax(bad))
+        kind = "positive definite" if strict else "positive semidefinite"
+        raise ModelError(f"{name}[{i}] is not {kind} (lambda_min={w[i, 0]:.3e})")
 
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Bounded zero-mean noise for the initial state and per-stage disturbances.
 
-    ``covariance_blocks`` holds N+1 symmetric blocks: one for x_0 followed by
+    ``covariance_blocks`` has shape (N+1, m, m): one block for x_0 followed by
     one per stage noise.  Samples are guaranteed to satisfy the norm bound
     almost surely.  The ``deterministic-zero`` kind fixes x_0 to a given
     vector and zeroes all stage noise; it is a testing convenience and its
@@ -67,47 +87,46 @@ class NoiseModel:
     """
 
     kind: NoiseKind
-    covariance_blocks: tuple[np.ndarray, ...]
+    covariance_blocks: np.ndarray
     bound: float
     fixed_initial_state: np.ndarray | None = None
     # per block: the transposed Cholesky factor (set in __post_init__, used
     # by ``sample``)
-    _factors: tuple = field(init=False, repr=False, compare=False, default=())
+    _factors: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        blocks = tuple(_as_matrix(b, f"covariance block {i}") for i, b in enumerate(self.covariance_blocks))
+        blocks = _stack(self.covariance_blocks, "covariance block")
         object.__setattr__(self, "covariance_blocks", blocks)
-        m = blocks[0].shape[0]
-        for i, b in enumerate(blocks):
-            if b.shape != (m, m):
-                raise ModelError(f"covariance block {i} has shape {b.shape}, expected {(m, m)}")
-            if self.kind == "deterministic-zero":
-                _check_psd(b, f"covariance block {i}")
-            else:
-                _check_pd(b, f"covariance block {i}")
-        if self.bound <= 0:
-            raise ModelError("noise bound must be positive")
+        m = blocks.shape[1]
+        if blocks.shape[2] != m:
+            raise ModelError(f"covariance blocks have shape {blocks.shape[1:]}, expected {(m, m)}")
+        _check_finite(blocks, "covariance block")
+        _check_definite(blocks, "covariance block", strict=self.kind != "deterministic-zero")
+        if not (math.isfinite(self.bound) and self.bound > 0):
+            raise ModelError(f"noise bound must be a finite positive number, got {self.bound!r}")
         if self.kind == "deterministic-zero":
             if self.fixed_initial_state is None:
                 raise ModelError("deterministic-zero noise requires a fixed initial state")
             x0 = np.asarray(self.fixed_initial_state, dtype=float).reshape(-1).copy()
             if x0.shape != (m,):
                 raise ModelError(f"fixed initial state has dim {x0.shape[0]}, expected {m}")
+            if not np.isfinite(x0).all():
+                raise ModelError("fixed initial state has non-finite entries")
             x0.setflags(write=False)
             object.__setattr__(self, "fixed_initial_state", x0)
-        elif self.fixed_initial_state is not None:
-            raise ModelError("fixed initial state only valid for deterministic-zero noise")
-        if self.kind != "deterministic-zero":
-            object.__setattr__(self, "_factors", tuple(np.linalg.cholesky(b).T for b in blocks))
+        else:
+            if self.fixed_initial_state is not None:
+                raise ModelError("fixed initial state only valid for deterministic-zero noise")
+            object.__setattr__(self, "_factors", np.linalg.cholesky(blocks).swapaxes(1, 2))
 
     @property
     def dim(self) -> int:
-        return self.covariance_blocks[0].shape[0]
+        return self.covariance_blocks.shape[1]
 
     @property
     def phi(self) -> float:
         """Smallest eigenvalue of the block-diagonal lifted covariance."""
-        return min(float(np.linalg.eigvalsh(b).min()) for b in self.covariance_blocks)
+        return float(np.linalg.eigvalsh(self.covariance_blocks)[:, 0].min())
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` lifted noise vectors, shape (count, N+1, m).
@@ -116,8 +135,7 @@ class NoiseModel:
         Blocks are drawn one after another from ``rng``, each with its
         rejection redraws before the next block.
         """
-        m = self.dim
-        n_blocks = len(self.covariance_blocks)
+        n_blocks, m, _ = self.covariance_blocks.shape
         out = np.empty((count, n_blocks, m))
         if self.kind == "deterministic-zero":
             out[:] = 0.0
@@ -138,15 +156,15 @@ class NoiseModel:
         return out
 
     @staticmethod
-    def default_bound(covariance_blocks: Sequence[np.ndarray]) -> float:
+    def default_bound(covariance_blocks) -> float:
         """Truncation radius keeping Gaussian rejection mass below ~1e-8."""
-        lam = max(float(np.linalg.eigvalsh(np.asarray(b, dtype=float)).max()) for b in covariance_blocks)
+        lam = float(np.linalg.eigvalsh(np.asarray(covariance_blocks, dtype=float)).max())
         return 6.0 * math.sqrt(lam)
 
 
 def isotropic_noise(m: int, horizon: int, sigma: float = 0.05,
                     kind: NoiseKind = "truncated-gaussian") -> NoiseModel:
-    blocks = tuple(sigma * np.eye(m) for _ in range(horizon + 1))
+    blocks = np.broadcast_to(sigma * np.eye(m), (horizon + 1, m, m))
     return NoiseModel(kind=kind, covariance_blocks=blocks, bound=NoiseModel.default_bound(blocks))
 
 
@@ -154,7 +172,8 @@ def deterministic_noise(x0, horizon: int) -> NoiseModel:
     """Zero noise with a pinned initial state; second-moment blocks follow."""
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     m = x0.shape[0]
-    blocks = (np.outer(x0, x0),) + tuple(np.zeros((m, m)) for _ in range(horizon))
+    blocks = np.zeros((horizon + 1, m, m))
+    blocks[0] = np.outer(x0, x0)
     bound = max(1.0, float(np.linalg.norm(x0)))
     return NoiseModel(kind="deterministic-zero", covariance_blocks=blocks,
                       bound=bound, fixed_initial_state=x0)
@@ -162,44 +181,39 @@ def deterministic_noise(x0, horizon: int) -> NoiseModel:
 
 @dataclass(frozen=True)
 class LqGame:
-    """A finite-horizon zero-sum LQ game, stored stage-wise.
+    """A finite-horizon zero-sum LQ game, stored as stacked stage matrices.
 
+    ``A, B, D, Ru, Rw`` have shapes (N, m, m), (N, m, d), (N, m, n), (N, d, d)
+    and (N, n, n); ``Q`` has shape (N+1, m, m), its last block the terminal
+    weight.  The constructor also accepts sequences of per-stage blocks.
     Immutable after construction; safe to share across threads.
     """
 
-    A: tuple[np.ndarray, ...]
-    B: tuple[np.ndarray, ...]
-    D: tuple[np.ndarray, ...]
-    Q: tuple[np.ndarray, ...]
-    Ru: tuple[np.ndarray, ...]
-    Rw: tuple[np.ndarray, ...]
+    A: np.ndarray
+    B: np.ndarray
+    D: np.ndarray
+    Q: np.ndarray
+    Ru: np.ndarray
+    Rw: np.ndarray
     noise: NoiseModel
 
     def __post_init__(self):
-        for name in ("A", "B", "D", "Q", "Ru", "Rw"):
-            mats = tuple(_as_matrix(b, f"{name}[{i}]") for i, b in enumerate(getattr(self, name)))
-            object.__setattr__(self, name, mats)
+        m = _stack(self.A, "A").shape[1]
+        d = _stack(self.B, "B").shape[2]
+        n = _stack(self.D, "D").shape[2]
+        shapes = {"A": (m, m), "B": (m, d), "D": (m, n), "Q": (m, m), "Ru": (d, d), "Rw": (n, n)}
+        for name, shape in shapes.items():
+            stack = _stack(getattr(self, name), name, shape)
+            _check_finite(stack, name)
+            object.__setattr__(self, name, stack)
         N = len(self.A)
-        if N < 1:
-            raise ModelError("horizon must be at least 1")
-        if not (len(self.B) == len(self.D) == len(self.Ru) == len(self.Rw) == N):
+        if not all(len(getattr(self, k)) == N for k in ("B", "D", "Ru", "Rw")):
             raise ModelError("A, B, D, Ru, Rw must all have one matrix per stage")
         if len(self.Q) != N + 1:
             raise ModelError(f"Q needs {N + 1} matrices (stages plus terminal), got {len(self.Q)}")
-        m = self.A[0].shape[0]
-        d = self.B[0].shape[1]
-        n = self.D[0].shape[1]
-        for h in range(N):
-            if self.A[h].shape != (m, m):
-                raise ModelError(f"A[{h}] has shape {self.A[h].shape}, expected {(m, m)}")
-            if self.B[h].shape != (m, d):
-                raise ModelError(f"B[{h}] has shape {self.B[h].shape}, expected {(m, d)}")
-            if self.D[h].shape != (m, n):
-                raise ModelError(f"D[{h}] has shape {self.D[h].shape}, expected {(m, n)}")
-            _check_psd(self.Q[h], f"Q[{h}]")
-            _check_pd(self.Ru[h], f"Ru[{h}]")
-            _check_pd(self.Rw[h], f"Rw[{h}]")
-        _check_psd(self.Q[N], f"Q[{N}]")
+        _check_definite(self.Q, "Q", strict=False)
+        _check_definite(self.Ru, "Ru", strict=True)
+        _check_definite(self.Rw, "Rw", strict=True)
         if self.noise.dim != m:
             raise ModelError(f"noise dimension {self.noise.dim} does not match state dimension {m}")
         if len(self.noise.covariance_blocks) != N + 1:
@@ -208,219 +222,79 @@ class LqGame:
 
     @property
     def horizon(self) -> int:
-        return len(self.A)
+        return self.A.shape[0]
 
     @property
     def m(self) -> int:
-        return self.A[0].shape[0]
+        return self.A.shape[1]
 
     @property
     def d(self) -> int:
-        return self.B[0].shape[1]
+        return self.B.shape[2]
 
     @property
     def n(self) -> int:
-        return self.D[0].shape[1]
-
-    def compact(self) -> "CompactOperators":
-        return build_compact(self)
+        return self.D.shape[2]
 
 
 def time_invariant_game(A, B, D, Q, Ru, Rw, horizon: int, noise: NoiseModel,
                         terminal_Q=None) -> LqGame:
     """Replicate a single set of stage matrices across the whole horizon."""
     tQ = Q if terminal_Q is None else terminal_Q
-    return LqGame(
-        A=tuple(A for _ in range(horizon)),
-        B=tuple(B for _ in range(horizon)),
-        D=tuple(D for _ in range(horizon)),
-        Q=tuple(Q for _ in range(horizon)) + (tQ,),
-        Ru=tuple(Ru for _ in range(horizon)),
-        Rw=tuple(Rw for _ in range(horizon)),
-        noise=noise,
-    )
+    return LqGame(A=[A] * horizon, B=[B] * horizon, D=[D] * horizon,
+                  Q=[Q] * horizon + [tQ], Ru=[Ru] * horizon, Rw=[Rw] * horizon,
+                  noise=noise)
 
 
 @dataclass(frozen=True)
 class StructuredGain:
-    """A per-stage feedback gain with the lifted sparsity pattern.
+    """A per-stage feedback gain: ``blocks`` of shape (N, p, m).
 
-    The lift places stage blocks on the block diagonal followed by a zero
-    column block: ``[diag(blocks) | 0]``.  ``side`` is "K" (minimizer,
-    d x m blocks) or "L" (maximizer, n x m blocks).
+    Its lift is ``[diag(blocks) | 0]``.  ``side`` is "K" (minimizer, d x m
+    blocks) or "L" (maximizer, n x m blocks).  The constructor also accepts a
+    sequence of per-stage blocks.
     """
 
     side: Literal["K", "L"]
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(_as_matrix(b, f"gain block {i}") for i, b in enumerate(self.blocks))
-        if not blocks:
-            raise ModelError("gain needs at least one stage block")
-        shape = blocks[0].shape
-        for i, b in enumerate(blocks):
-            if b.shape != shape:
-                raise ModelError(f"gain block {i} has shape {b.shape}, expected {shape}")
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", _stack(self.blocks, "gain block"))
 
     @property
     def horizon(self) -> int:
-        return len(self.blocks)
+        return self.blocks.shape[0]
 
     @property
     def block_shape(self) -> tuple[int, int]:
-        return self.blocks[0].shape
-
-    def lift(self) -> np.ndarray:
-        """Materialize the full [diag(blocks) | 0] matrix."""
-        N = self.horizon
-        p, m = self.block_shape
-        full = np.zeros((p * N, m * (N + 1)))
-        for h, b in enumerate(self.blocks):
-            full[h * p:(h + 1) * p, h * m:(h + 1) * m] = b
-        return full
+        return self.blocks.shape[1:]
 
     def frobenius_norm(self) -> float:
-        return math.sqrt(sum(float(np.sum(b * b)) for b in self.blocks))
+        return float(np.linalg.norm(self.blocks))
+
+    def _check_compatible(self, other: "StructuredGain") -> None:
+        if self.side != other.side or self.blocks.shape != other.blocks.shape:
+            raise ModelError("cannot combine gains with different side or shape")
 
     def __add__(self, other: "StructuredGain") -> "StructuredGain":
-        if self.side != other.side or self.horizon != other.horizon:
-            raise ModelError("cannot add gains with different side or horizon")
-        return StructuredGain(self.side, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+        self._check_compatible(other)
+        return StructuredGain(self.side, self.blocks + other.blocks)
 
     def __sub__(self, other: "StructuredGain") -> "StructuredGain":
-        if self.side != other.side or self.horizon != other.horizon:
-            raise ModelError("cannot subtract gains with different side or horizon")
-        return StructuredGain(self.side, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+        self._check_compatible(other)
+        return StructuredGain(self.side, self.blocks - other.blocks)
 
     def scale(self, c: float) -> "StructuredGain":
-        return StructuredGain(self.side, tuple(c * b for b in self.blocks))
+        return StructuredGain(self.side, c * self.blocks)
 
 
 def zero_gain(game: LqGame, side: Literal["K", "L"]) -> StructuredGain:
     p = game.d if side == "K" else game.n
-    return StructuredGain(side, tuple(np.zeros((p, game.m)) for _ in range(game.horizon)))
+    return StructuredGain(side, np.zeros((game.horizon, p, game.m)))
 
 
-def lift_gain(blocks: Sequence[np.ndarray], side: Literal["K", "L"]) -> StructuredGain:
-    return StructuredGain(side=side, blocks=tuple(np.asarray(b, dtype=float) for b in blocks))
-
-
-def validate_gain(candidate: np.ndarray, side: Literal["K", "L"], horizon: int) -> StructuredGain:
-    """Accept a full matrix iff it matches the lifted pattern exactly.
-
-    Every entry outside the block-diagonal pattern must be exactly zero.
-    """
-    cand = np.asarray(candidate, dtype=float)
-    rows, cols = cand.shape
-    if rows % horizon != 0 or cols % (horizon + 1) != 0:
-        raise ModelError(f"matrix shape {cand.shape} not divisible by horizon {horizon}")
-    p = rows // horizon
-    m = cols // (horizon + 1)
-    mask = np.ones_like(cand, dtype=bool)
-    blocks = []
-    for h in range(horizon):
-        mask[h * p:(h + 1) * p, h * m:(h + 1) * m] = False
-        blocks.append(cand[h * p:(h + 1) * p, h * m:(h + 1) * m])
-    offenders = np.argwhere((cand != 0.0) & mask)
-    if offenders.size:
-        i, j = offenders[0]
-        raise ModelError(f"entry ({i}, {j}) = {cand[i, j]:g} lies outside the gain sparsity pattern")
-    return StructuredGain(side=side, blocks=tuple(blocks))
-
-
-@dataclass(frozen=True)
-class CompactOperators:
-    """Lifted block operators of a game; full matrices built on demand.
-
-    Storage stays per-stage (O(N m^2)); the dense lifted matrices are only
-    materialized for oracles and tests.
-    """
-
-    game: LqGame
-    d_K: int = field(init=False)
-    d_L: int = field(init=False)
-
-    def __post_init__(self):
-        g = self.game
-        object.__setattr__(self, "d_K", g.d * g.m * g.horizon)
-        object.__setattr__(self, "d_L", g.n * g.m * g.horizon)
-
-    @property
-    def horizon(self) -> int:
-        return self.game.horizon
-
-    @property
-    def state_dim(self) -> int:
-        return self.game.m * (self.game.horizon + 1)
-
-    def full_A(self) -> np.ndarray:
-        g = self.game
-        m, N = g.m, g.horizon
-        full = np.zeros((m * (N + 1), m * (N + 1)))
-        for h in range(N):
-            full[(h + 1) * m:(h + 2) * m, h * m:(h + 1) * m] = g.A[h]
-        return full
-
-    def _full_input(self, mats: tuple[np.ndarray, ...]) -> np.ndarray:
-        g = self.game
-        m, N = g.m, g.horizon
-        p = mats[0].shape[1]
-        full = np.zeros((m * (N + 1), p * N))
-        for h in range(N):
-            full[(h + 1) * m:(h + 2) * m, h * p:(h + 1) * p] = mats[h]
-        return full
-
-    def full_B(self) -> np.ndarray:
-        return self._full_input(self.game.B)
-
-    def full_D(self) -> np.ndarray:
-        return self._full_input(self.game.D)
-
-    def full_Q(self) -> np.ndarray:
-        return _block_diag(self.game.Q)
-
-    def full_Ru(self) -> np.ndarray:
-        return _block_diag(self.game.Ru)
-
-    def full_Rw(self) -> np.ndarray:
-        return _block_diag(self.game.Rw)
-
-    def full_Sigma0(self) -> np.ndarray:
-        return _block_diag(self.game.noise.covariance_blocks)
-
-    def closed_loop_blocks(self, K: StructuredGain, L: StructuredGain) -> list[np.ndarray]:
-        """Stage blocks of A - B K - D L."""
-        g = self.game
-        return [g.A[h] - g.B[h] @ K.blocks[h] - g.D[h] @ L.blocks[h] for h in range(g.horizon)]
-
-    def full_closed_loop(self, K: StructuredGain, L: StructuredGain) -> np.ndarray:
-        g = self.game
-        m, N = g.m, g.horizon
-        full = np.zeros((m * (N + 1), m * (N + 1)))
-        for h, blk in enumerate(self.closed_loop_blocks(K, L)):
-            full[(h + 1) * m:(h + 2) * m, h * m:(h + 1) * m] = blk
-        return full
-
-    def norm_D(self) -> float:
-        """Spectral norm of the lifted disturbance operator."""
-        return max(float(np.linalg.norm(Dh, 2)) for Dh in self.game.D)
-
-
-def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    sizes_r = [b.shape[0] for b in blocks]
-    sizes_c = [b.shape[1] for b in blocks]
-    out = np.zeros((sum(sizes_r), sum(sizes_c)))
-    r = c = 0
-    for b in blocks:
-        out[r:r + b.shape[0], c:c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
-def build_compact(game: LqGame) -> CompactOperators:
-    return CompactOperators(game=game)
+def lift_gain(blocks, side: Literal["K", "L"]) -> StructuredGain:
+    return StructuredGain(side=side, blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +304,7 @@ def build_compact(game: LqGame) -> CompactOperators:
 def game_to_dict(game: LqGame) -> dict:
     noise: dict = {
         "kind": game.noise.kind,
-        "covariance_blocks": [b.tolist() for b in game.noise.covariance_blocks],
+        "covariance_blocks": game.noise.covariance_blocks.tolist(),
         "bound": game.noise.bound,
     }
     if game.noise.fixed_initial_state is not None:
@@ -462,18 +336,14 @@ def game_from_dict(doc: dict) -> LqGame:
         noise_doc = doc["noise"]
         noise = NoiseModel(
             kind=noise_doc["kind"],
-            covariance_blocks=tuple(np.array(b, dtype=float) for b in noise_doc["covariance_blocks"]),
+            covariance_blocks=noise_doc["covariance_blocks"],
             bound=float(noise_doc["bound"]),
-            fixed_initial_state=(np.array(noise_doc["fixed_initial_state"], dtype=float)
-                                 if "fixed_initial_state" in noise_doc else None),
+            fixed_initial_state=noise_doc.get("fixed_initial_state"),
         )
         return LqGame(
-            A=tuple(np.array(s["A"], dtype=float) for s in stages),
-            B=tuple(np.array(s["B"], dtype=float) for s in stages),
-            D=tuple(np.array(s["D"], dtype=float) for s in stages),
-            Q=tuple(np.array(s["Q"], dtype=float) for s in stages) + (np.array(doc["terminal_Q"], dtype=float),),
-            Ru=tuple(np.array(s["Ru"], dtype=float) for s in stages),
-            Rw=tuple(np.array(s["Rw"], dtype=float) for s in stages),
+            A=[s["A"] for s in stages], B=[s["B"] for s in stages], D=[s["D"] for s in stages],
+            Q=[s["Q"] for s in stages] + [doc["terminal_Q"]],
+            Ru=[s["Ru"] for s in stages], Rw=[s["Rw"] for s in stages],
             noise=noise,
         )
     except KeyError as exc:

@@ -35,13 +35,6 @@ class RngStream:
         return RngStream(self.seed, self.indices + tuple(indices))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    states: np.ndarray  # (N+1, m)
-    cost: float
-    seed_id: int
-
-
 def batch_rollout(game: LqGame, K: StructuredGain, L: StructuredGain, count: int,
                   rng: np.random.Generator, *,
                   K_perturb: np.ndarray | None = None,
@@ -87,42 +80,10 @@ def batch_rollout(game: LqGame, K: StructuredGain, L: StructuredGain, count: int
     return costs, states
 
 
-def rollout(game: LqGame, K: StructuredGain, L: StructuredGain, rng: RngStream) -> Trajectory:
-    """Simulate one trajectory and its incurred cost."""
-    costs, states = batch_rollout(game, K, L, 1, rng.generator(), return_states=True)
-    seed_id = rng.indices[-1] if rng.indices else rng.seed
-    return Trajectory(states=states[0], cost=float(costs[0]), seed_id=int(seed_id))
-
-
-def empirical_covariance(trajectory: Trajectory) -> list[np.ndarray]:
-    """Per-stage outer products x_h x_h' (one rank-one PSD block per stage)."""
-    return [np.outer(x, x) for x in trajectory.states]
-
-
-def mean_covariance_blocks(states: np.ndarray) -> list[np.ndarray]:
-    """Mean per-stage second moments over a batch of state arrays."""
+def mean_covariance_blocks(states: np.ndarray) -> np.ndarray:
+    """Mean per-stage second moments over a batch of state arrays, shape (N+1, m, m)."""
     count = states.shape[0]
-    return [states[:, h, :].T @ states[:, h, :] / count for h in range(states.shape[1])]
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    blocks: tuple[np.ndarray, ...]
-    lambda_min: float
-    gate_ok: bool
-
-
-def batch_mean_covariance(game: LqGame, K: StructuredGain, L: StructuredGain,
-                          count: int, rng: np.random.Generator) -> CovarianceEstimate:
-    """Average empirical covariance over ``count`` fresh rollouts.
-
-    Reports the smallest block eigenvalue against the phi/2 invertibility
-    gate; callers decide how to react.
-    """
-    _, states = batch_rollout(game, K, L, count, rng, return_states=True)
-    blocks = mean_covariance_blocks(states)
-    lam = min(float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()) for b in blocks)
-    return CovarianceEstimate(tuple(blocks), lam, lam >= game.noise.phi / 2.0)
+    return np.array([states[:, h, :].T @ states[:, h, :] / count for h in range(states.shape[1])])
 
 
 def monte_carlo_objective(game: LqGame, K: StructuredGain, L: StructuredGain,

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import certify
 from .exact import ExactSolverConfig, outer_npg_exact
-from .model import (CompactOperators, LqGame, StructuredGain, _block_diag,
-                    build_compact, isotropic_noise, scalar_demo_game, zero_gain)
+from .model import LqGame, StructuredGain, isotropic_noise, scalar_demo_game, zero_gain
 
 BRUTE_FORCE_DIM_CAP = 64
 
@@ -64,49 +63,70 @@ def summary_table(reports: Sequence[CheckReport]) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Dense lifted operators
+# ---------------------------------------------------------------------------
+
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    count, r, c = blocks.shape
+    out = np.zeros((count * r, count * c))
+    for i, b in enumerate(blocks):
+        out[i * r:(i + 1) * r, i * c:(i + 1) * c] = b
+    return out
+
+
+def full_gain(gain: StructuredGain) -> np.ndarray:
+    """The lifted gain matrix [diag(blocks) | 0]."""
+    N, p, m = gain.blocks.shape
+    return np.hstack([_block_diag(gain.blocks), np.zeros((N * p, m))])
+
+
+def full_closed_loop(game: LqGame, K: StructuredGain, L: StructuredGain) -> np.ndarray:
+    """Lifted closed loop: stage block h of A - B K - D L maps x_h to x_{h+1}."""
+    m, N = game.m, game.horizon
+    full = np.zeros((m * (N + 1), m * (N + 1)))
+    for h, blk in enumerate(certify.closed_loop_blocks(game, K, L)):
+        full[(h + 1) * m:(h + 2) * m, h * m:(h + 1) * m] = blk
+    return full
+
+
+def full_Sigma0(game: LqGame) -> np.ndarray:
+    """Lifted noise covariance: x_0 and the stage noises on the diagonal."""
+    return _block_diag(game.noise.covariance_blocks)
+
+
+# ---------------------------------------------------------------------------
 # Oracles
 # ---------------------------------------------------------------------------
 
-def analytic_gradient(ops, K: StructuredGain, L: StructuredGain,
+def analytic_gradient(game: LqGame, K: StructuredGain, L: StructuredGain,
                       side: Literal["K", "L"]) -> StructuredGain:
     """Raw objective gradient 2 F_h Sigma_h (or 2 E_h Sigma_h) per stage."""
-    ops = certify._ops(ops)
-    F, E = certify.natural_gradients(ops, K, L)
-    S = certify.covariance_blocks(ops, K, L)
+    F, E = certify.natural_gradients(game, K, L)
+    S = certify.covariance_blocks(game, K, L)
     G = F if side == "K" else E
-    return StructuredGain(side, tuple(2.0 * G.blocks[h] @ S[h] for h in range(G.horizon)))
+    return StructuredGain(side, 2.0 * G.blocks @ S[:-1])
 
 
-def finite_diff_gradient(ops, K: StructuredGain, L: StructuredGain,
+def finite_diff_gradient(game: LqGame, K: StructuredGain, L: StructuredGain,
                          side: Literal["K", "L"], step: float = 1e-6) -> StructuredGain:
     """Central-difference objective gradient over each in-pattern coordinate."""
     if step <= 0:
         raise ValueError("step must be positive")
-    ops = certify._ops(ops)
     base = K if side == "K" else L
-    out = []
-    for h in range(base.horizon):
-        p, m = base.block_shape
-        g = np.zeros((p, m))
-        for i in range(p):
-            for j in range(m):
-                delta = np.zeros((p, m))
-                delta[i, j] = step
-                blocks_hi = list(base.blocks)
-                blocks_lo = list(base.blocks)
-                blocks_hi[h] = base.blocks[h] + delta
-                blocks_lo[h] = base.blocks[h] - delta
-                hi = StructuredGain(side, tuple(blocks_hi))
-                lo = StructuredGain(side, tuple(blocks_lo))
-                if side == "K":
-                    f_hi = certify.objective(ops, hi, L)
-                    f_lo = certify.objective(ops, lo, L)
-                else:
-                    f_hi = certify.objective(ops, K, hi)
-                    f_lo = certify.objective(ops, K, lo)
-                g[i, j] = (f_hi - f_lo) / (2.0 * step)
-        out.append(g)
-    return StructuredGain(side, tuple(out))
+    out = np.zeros(base.blocks.shape)
+    for idx in np.ndindex(out.shape):
+        delta = np.zeros(out.shape)
+        delta[idx] = step
+        hi = StructuredGain(side, base.blocks + delta)
+        lo = StructuredGain(side, base.blocks - delta)
+        if side == "K":
+            f_hi = certify.objective(game, hi, L)
+            f_lo = certify.objective(game, lo, L)
+        else:
+            f_hi = certify.objective(game, K, hi)
+            f_lo = certify.objective(game, K, lo)
+        out[idx] = (f_hi - f_lo) / (2.0 * step)
+    return StructuredGain(side, out)
 
 
 def brute_force_value_oracle(game: LqGame, K: StructuredGain, L: StructuredGain) -> float:
@@ -116,14 +136,13 @@ def brute_force_value_oracle(game: LqGame, K: StructuredGain, L: StructuredGain)
     nilpotency) Lyapunov series for the lifted state second moment, and
     returns Tr(M Sigma).  Capped at lifted dimension 64.
     """
-    ops = build_compact(game)
-    dim = ops.state_dim
+    dim = game.m * (game.horizon + 1)
     if dim > BRUTE_FORCE_DIM_CAP:
         raise ValueError(f"lifted dimension {dim} exceeds brute-force cap {BRUTE_FORCE_DIM_CAP}")
-    Kf, Lf = K.lift(), L.lift()
-    M = ops.full_Q() + Kf.T @ ops.full_Ru() @ Kf - Lf.T @ ops.full_Rw() @ Lf
-    Acl = ops.full_closed_loop(K, L)
-    noise_cov = ops.full_Sigma0()
+    Kf, Lf = full_gain(K), full_gain(L)
+    M = _block_diag(game.Q) + Kf.T @ _block_diag(game.Ru) @ Kf - Lf.T @ _block_diag(game.Rw) @ Lf
+    Acl = full_closed_loop(game, K, L)
+    noise_cov = full_Sigma0(game)
     Sigma = np.zeros((dim, dim))
     term = noise_cov.copy()
     for _ in range(game.horizon + 1):
@@ -132,11 +151,28 @@ def brute_force_value_oracle(game: LqGame, K: StructuredGain, L: StructuredGain)
     return float(np.trace(M @ Sigma))
 
 
+def lqr_cost_oracle(game: LqGame) -> float:
+    """Classical finite-horizon LQR cost by dynamic programming (D ignored).
+
+    Separate code path used to cross-check solve_nash when the disturbance
+    channel vanishes.
+    """
+    g = game
+    N = g.horizon
+    Ps = [g.Q[N]]
+    for h in range(N - 1, -1, -1):
+        BtP = g.B[h].T @ Ps[0]
+        K = np.linalg.solve(g.Ru[h] + BtP @ g.B[h], BtP @ g.A[h])
+        P = g.Q[h] + g.A[h].T @ Ps[0] @ (g.A[h] - g.B[h] @ K)
+        Ps.insert(0, 0.5 * (P + P.T))
+    return sum(float(np.trace(P_h @ cov)) for P_h, cov in zip(Ps, g.noise.covariance_blocks))
+
+
 # ---------------------------------------------------------------------------
 # Inequality monitors
 # ---------------------------------------------------------------------------
 
-def check_descent(ops, K_t: StructuredGain, K_next: StructuredGain,
+def check_descent(game: LqGame, K_t: StructuredGain, K_next: StructuredGain,
                   tau2: float, slack: float = 0.0, seed: int = 0,
                   instance: str = "") -> CheckReport:
     """One-step descent test for the outer update.
@@ -145,12 +181,11 @@ def check_descent(ops, K_t: StructuredGain, K_next: StructuredGain,
     natural gradient at (K_t, L(K_t)).  ``slack`` is a configured allowance
     for inexact inner solves and estimation noise, not an analytic constant.
     """
-    ops = certify._ops(ops)
-    phi = ops.game.noise.phi
-    val_t = certify.primal_value(ops, K_t)
-    val_next = certify.primal_value(ops, K_next)
-    br = certify.best_response_L(ops, K_t)
-    F, _ = certify.natural_gradients(ops, K_t, br.L, br.P_blocks)
+    phi = game.noise.phi
+    val_t = certify.primal_value(game, K_t)
+    val_next = certify.primal_value(game, K_next)
+    br = certify.best_response_L(game, K_t)
+    F, _ = certify.natural_gradients(game, K_t, br.L, br.P_blocks)
     lhs = val_next - val_t
     rhs = tau2 * slack - (tau2 * phi / 4.0) * F.frobenius_norm() ** 2
     tol = 1e-12 * (1.0 + abs(val_t))
@@ -160,7 +195,7 @@ def check_descent(ops, K_t: StructuredGain, K_next: StructuredGain,
         tolerance=tol, seed=seed)
 
 
-def check_gradient_domination(ops, K: StructuredGain, nash_value: float,
+def check_gradient_domination(game: LqGame, K: StructuredGain, nash_value: float,
                               seed: int = 0, instance: str = "") -> CheckReport:
     """Gap-to-gradient ratio monitor.
 
@@ -168,10 +203,9 @@ def check_gradient_domination(ops, K: StructuredGain, nash_value: float,
     would contradict gradient domination.  The ratio itself is reported so a
     sweep can form an empirical domination constant.
     """
-    ops = certify._ops(ops)
-    gap = certify.primal_value(ops, K) - nash_value
-    br = certify.best_response_L(ops, K)
-    F, _ = certify.natural_gradients(ops, K, br.L, br.P_blocks)
+    gap = certify.primal_value(game, K) - nash_value
+    br = certify.best_response_L(game, K)
+    F, _ = certify.natural_gradients(game, K, br.L, br.P_blocks)
     trF2 = F.frobenius_norm() ** 2
     at_optimum = gap <= 1e-8 * (1.0 + abs(nash_value))
     violated = trF2 <= 1e-16 and not at_optimum
@@ -208,29 +242,28 @@ def random_game(rng: np.random.Generator, m: int = 3, d: int = 2, n: int = 2,
                   noise=isotropic_noise(m, horizon, sigma=0.5))
 
 
-def random_feasible_gain(ops: CompactOperators, Kstar: StructuredGain,
+def random_feasible_gain(game: LqGame, Kstar: StructuredGain,
                          rng: np.random.Generator, scale: float = 0.3) -> StructuredGain:
     """A random admissible gain: bounded in-pattern perturbation of the Nash gain.
 
     Halves the perturbation radius until the candidate passes the
     admissibility test; terminates because the Nash gain itself is interior.
     """
-    p, m = Kstar.block_shape
-    direction = tuple(rng.standard_normal((p, m)) for _ in range(Kstar.horizon))
+    direction = StructuredGain("K", [rng.standard_normal(Kstar.block_shape)
+                                     for _ in range(Kstar.horizon)])
     while True:
-        K = Kstar + StructuredGain("K", direction).scale(scale)
-        if certify.in_feasible_set(ops, K).member:
+        K = Kstar + direction.scale(scale)
+        if certify.in_feasible_set(game, K).member:
             return K
         scale *= 0.5
 
 
-def random_gain_pair(ops: CompactOperators, Kstar: StructuredGain, Lstar: StructuredGain,
+def random_gain_pair(game: LqGame, Kstar: StructuredGain, Lstar: StructuredGain,
                      rng: np.random.Generator, scale: float = 0.3
                      ) -> tuple[StructuredGain, StructuredGain]:
-    K = random_feasible_gain(ops, Kstar, rng, scale)
-    pL, mL = Lstar.block_shape
-    L = Lstar + StructuredGain("L", tuple(
-        scale * rng.standard_normal((pL, mL)) for _ in range(Lstar.horizon)))
+    K = random_feasible_gain(game, Kstar, rng, scale)
+    L = Lstar + StructuredGain("L", [scale * rng.standard_normal(Lstar.block_shape)
+                                     for _ in range(Lstar.horizon)])
     return K, L
 
 
@@ -238,69 +271,69 @@ def random_gain_pair(ops: CompactOperators, Kstar: StructuredGain, Lstar: Struct
 # Property suite
 # ---------------------------------------------------------------------------
 
-def _check_trace_identity(ops, K, L, tol=1e-10) -> tuple[bool, float]:
+def _check_trace_identity(game, K, L, tol=1e-10) -> tuple[bool, float]:
     """Dual Lyapunov pairing: Tr(P . noise cov) == Tr(stage cost . Sigma)."""
-    P = certify.value_blocks(ops, K, L)
-    cov = ops.game.noise.covariance_blocks
+    P = certify.value_blocks(game, K, L)
+    cov = game.noise.covariance_blocks
     backward = sum(float(np.trace(p @ c)) for p, c in zip(P, cov))
-    M = certify.stage_cost_blocks(ops, K, L)
-    S = certify.covariance_blocks(ops, K, L)
+    M = certify.stage_cost_blocks(game, K, L)
+    S = certify.covariance_blocks(game, K, L)
     forward = sum(float(np.trace(m @ s)) for m, s in zip(M, S))
     err = abs(backward - forward) / (1.0 + abs(backward))
     return err <= tol, err
 
 
-def _check_ordering(ops, K, L, tol=1e-9) -> tuple[bool, float]:
+def _check_ordering(game, K, L, tol=1e-9) -> tuple[bool, float]:
     """Value under any L is dominated by the value under the best response."""
-    P = certify.value_blocks(ops, K, L)
-    br = certify.best_response_L(ops, K)
+    P = certify.value_blocks(game, K, L)
+    br = certify.best_response_L(game, K)
     slack = min(float(np.linalg.eigvalsh(0.5 * ((pb - p) + (pb - p).T)).min())
                 for p, pb in zip(P, br.P_blocks))
     return slack >= -tol, slack
 
 
-def _check_lyapunov_sum(ops, K, L, tol=1e-12) -> tuple[bool, float]:
+def _check_lyapunov_sum(game, K, L, tol=1e-12) -> tuple[bool, float]:
     """Dense nilpotent Lyapunov series matches the stage covariance recursion."""
-    Acl = ops.full_closed_loop(K, L)
-    noise_cov = ops.full_Sigma0()
+    Acl = full_closed_loop(game, K, L)
+    noise_cov = full_Sigma0(game)
     Sigma = np.zeros_like(noise_cov)
     term = noise_cov.copy()
-    for _ in range(ops.horizon + 1):
+    for _ in range(game.horizon + 1):
         Sigma += term
         term = Acl @ term @ Acl.T
-    ref = _block_diag(certify.covariance_blocks(ops, K, L))
+    ref = _block_diag(certify.covariance_blocks(game, K, L))
     err = float(np.abs(Sigma - ref).max()) / (1.0 + float(np.abs(ref).max()))
     return err <= tol, err
 
 
-def _check_fd_gradient(ops, K, L, tol=1e-6) -> tuple[bool, float]:
+def _check_fd_gradient(game, K, L, tol=1e-6) -> tuple[bool, float]:
     worst = 0.0
     for side in ("K", "L"):
-        ana = analytic_gradient(ops, K, L, side)
-        fd = finite_diff_gradient(ops, K, L, side, step=1e-6)
+        ana = analytic_gradient(game, K, L, side)
+        fd = finite_diff_gradient(game, K, L, side, step=1e-6)
         num = (ana - fd).frobenius_norm()
         den = 1.0 + ana.frobenius_norm()
         worst = max(worst, num / den)
     return worst <= tol, worst
 
 
-def _check_value_difference(ops, K, K2, L, tol=1e-9) -> tuple[bool, float]:
+def _check_value_difference(game, K, K2, L, tol=1e-9) -> tuple[bool, float]:
     """Cost-difference identity for a gain change on the minimizer's side.
 
     G(K2,L) - G(K,L) = sum_h Tr(Sigma2_h [d'F + F'd + d'(Ru+B'P B)d]) with
     F, P at (K,L) and Sigma2 the covariance under (K2,L).
     """
-    g = ops.game
-    P = certify.value_blocks(ops, K, L)
-    F, _ = certify.natural_gradients(ops, K, L, P)
-    S2 = certify.covariance_blocks(ops, K2, L)
+    g = game
+    P = certify.value_blocks(game, K, L)
+    F, _ = certify.natural_gradients(game, K, L, P)
+    S2 = certify.covariance_blocks(game, K2, L)
     total = 0.0
     for h in range(g.horizon):
         dlt = K2.blocks[h] - K.blocks[h]
         R = g.Ru[h] + g.B[h].T @ P[h + 1] @ g.B[h]
         forcing = dlt.T @ F.blocks[h] + F.blocks[h].T @ dlt + dlt.T @ R @ dlt
         total += float(np.trace(forcing @ S2[h]))
-    direct = certify.objective(ops, K2, L) - certify.objective(ops, K, L)
+    direct = certify.objective(game, K2, L) - certify.objective(game, K, L)
     err = abs(direct - total) / (1.0 + abs(direct))
     return err <= tol, err
 
@@ -321,50 +354,48 @@ def run_property_suite(seed: int = 0, instances: int = 20,
         m, d, n, N = (int(rng.integers(1, 4)), int(rng.integers(1, 4)),
                       int(rng.integers(1, 4)), int(rng.integers(1, 5)))
         game = random_game(rng, m=m, d=d, n=n, horizon=N)
-        ops = build_compact(game)
         tag = f"random-{i} (m={m},d={d},n={n},N={N})"
-        nash = certify.solve_nash(ops)
-        K, L = random_gain_pair(ops, nash.Kstar, nash.Lstar, rng)
+        nash = certify.solve_nash(game)
+        K, L = random_gain_pair(game, nash.Kstar, nash.Lstar, rng)
 
-        ok, err = _check_trace_identity(ops, K, L)
+        ok, err = _check_trace_identity(game, K, L)
         add("trace-identity", tag, ok, "rel_err", err, 1e-10)
-        ok, err = _check_lyapunov_sum(ops, K, L)
+        ok, err = _check_lyapunov_sum(game, K, L)
         add("lyapunov-finite-sum", tag, ok, "max_err", err, 1e-12)
-        ok, err = _check_fd_gradient(ops, K, L)
+        ok, err = _check_fd_gradient(game, K, L)
         add("finite-diff-gradient", tag, ok, "rel_err", err, 1e-6)
-        K2 = random_feasible_gain(ops, nash.Kstar, rng)
-        ok, err = _check_value_difference(ops, K, K2, L)
+        K2 = random_feasible_gain(game, nash.Kstar, rng)
+        ok, err = _check_value_difference(game, K, K2, L)
         add("value-difference", tag, ok, "rel_err", err, 1e-9)
 
         bf = brute_force_value_oracle(game, K, L)
-        obj = certify.objective(ops, K, L)
+        obj = certify.objective(game, K, L)
         err = abs(bf - obj) / (1.0 + abs(obj))
         add("brute-force-objective", tag, err <= 1e-10, "rel_err", err, 1e-10)
 
         worst = np.inf
         for _ in range(ordering_pairs):
-            Kp, Lp = random_gain_pair(ops, nash.Kstar, nash.Lstar, rng)
-            ok, slack = _check_ordering(ops, Kp, Lp)
+            Kp, Lp = random_gain_pair(game, nash.Kstar, nash.Lstar, rng)
+            ok, slack = _check_ordering(game, Kp, Lp)
             worst = min(worst, slack)
         add("best-response-ordering", tag, worst >= -1e-9, "min_slack", worst, 1e-9)
 
         reports.append(check_gradient_domination(
-            ops, K, nash.value, seed=seed, instance=tag))
+            game, K, nash.value, seed=seed, instance=tag))
 
     # descent along a short exact run on the scalar game
     game = scalar_demo_game()
-    ops = build_compact(game)
     cfg = ExactSolverConfig(inner_mode="exact", T=20, tau2=0.05)
     K0 = zero_gain(game, "K")
-    _, trace = outer_npg_exact(ops, K0, cfg)
+    _, trace = outer_npg_exact(game, K0, cfg)
     K_prev = K0
     worst = -np.inf
     for t in range(1, len(trace.rows)):
         # recompute the iterate path by replaying updates
-        br = certify.best_response_L(ops, K_prev)
-        F, _ = certify.natural_gradients(ops, K_prev, br.L, br.P_blocks)
+        br = certify.best_response_L(game, K_prev)
+        F, _ = certify.natural_gradients(game, K_prev, br.L, br.P_blocks)
         K_next = K_prev - F.scale(cfg.tau2)
-        rep = check_descent(ops, K_prev, K_next, cfg.tau2, seed=seed,
+        rep = check_descent(game, K_prev, K_next, cfg.tau2, seed=seed,
                             instance=f"scalar-exact t={t - 1}")
         worst = max(worst, rep.margins["lhs"] - rep.margins["rhs"])
         K_prev = K_next
@@ -373,7 +404,7 @@ def run_property_suite(seed: int = 0, instances: int = 20,
     # adversarial instance: Rw too small must be reported infeasible
     bad = random_game(rng, m=2, d=2, n=2, horizon=3, rw_scale=1e-4)
     try:
-        feas = certify.in_feasible_set(build_compact(bad), zero_gain(bad, "K"))
+        feas = certify.in_feasible_set(bad, zero_gain(bad, "K"))
         infeasible = not feas.member
     except certify.NashInfeasibleError:
         infeasible = True

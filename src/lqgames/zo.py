@@ -88,27 +88,26 @@ def zo_gradient(game: LqGame, K: StructuredGain, L: StructuredGain,
     perturb = {"K_perturb": rU} if side == "K" else {"L_perturb": rU}
     costs, _ = batch_rollout(game, K, L, count, rng, **perturb)
     blocks = (dim / (r * r)) * (costs @ rU.reshape(count, -1)).reshape(rU.shape[1:]) / count
-    return StructuredGain(side, tuple(blocks))
+    return StructuredGain(side, blocks)
 
 
-def _apply_covariance_gate(game: LqGame, blocks: list[np.ndarray], policy: str) -> tuple[list[np.ndarray], bool]:
-    """Enforce lambda_min >= phi/2 before inversion; returns (blocks, gated)."""
+def _apply_covariance_gate(game: LqGame, blocks: np.ndarray, policy: str) -> tuple[np.ndarray, bool]:
+    """Enforce lambda_min >= phi/2 on stacked blocks before inversion; returns (blocks, gated)."""
     phi_half = game.noise.phi / 2.0
-    lam = min(float(np.linalg.eigvalsh(0.5 * (b + b.T)).min()) for b in blocks)
+    lam = float(np.linalg.eigvalsh(0.5 * (blocks + blocks.swapaxes(1, 2)))[:, 0].min())
     if lam >= phi_half:
         return blocks, False
     if policy == "regularize":
         bump = phi_half - lam
-        return [b + bump * np.eye(b.shape[0]) for b in blocks], True
+        return blocks + bump * np.eye(blocks.shape[1]), True
     return blocks, True  # reject policy: caller resamples
 
 
-def natural_step(grad: StructuredGain, cov_blocks: list[np.ndarray]) -> StructuredGain:
-    """Right-precondition a structured gradient by block covariance solves."""
-    out = []
-    for h, g in enumerate(grad.blocks):
-        out.append(np.linalg.solve(cov_blocks[h].T, g.T).T)
-    return StructuredGain(grad.side, tuple(out))
+def natural_step(grad: StructuredGain, cov_blocks: np.ndarray) -> StructuredGain:
+    """Right-precondition a structured gradient by stacked block covariance solves."""
+    cov = cov_blocks[:grad.horizon]
+    return StructuredGain(grad.side, np.linalg.solve(cov.swapaxes(1, 2),
+                                                     grad.blocks.swapaxes(1, 2)).swapaxes(1, 2))
 
 
 def _estimate_step(game: LqGame, K: StructuredGain, L: StructuredGain,
@@ -186,7 +185,7 @@ def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig,
             game, K, L_t, "K", config.r2, config.M2, root.child(1, t), config.gate_policy)
         return step, (inner_used, outer_used, inner_hits + outer_hits)
 
-    return _outer_descent(game.compact(), K0, zo_step, config.T, config.tau2, nash_value,
+    return _outer_descent(game, K0, zo_step, config.T, config.tau2, nash_value,
                           stochastic=True)
 
 
@@ -203,12 +202,10 @@ def smoothed_objective_fd(game: LqGame, K: StructuredGain, L: StructuredGain,
     U = sample_unit_sphere(game, side, count, rng)
     acc = np.zeros((game.horizon, p, m))
     for i in range(count):
-        blocks = tuple(U[i, h] for h in range(game.horizon))
-        pert = StructuredGain(side, blocks).scale(r)
+        pert = StructuredGain(side, r * U[i])
         if side == "K":
             val = certify.objective(game, K + pert, L)
         else:
             val = certify.objective(game, K, L + pert)
         acc += val * U[i]
-    blocks = (dim / r) * acc / count
-    return StructuredGain(side, tuple(blocks))
+    return StructuredGain(side, (dim / r) * acc / count)

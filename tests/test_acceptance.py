@@ -14,7 +14,7 @@ import pytest
 from lqgames import certify, cli, verify, zo
 from lqgames.exact import ExactSolverConfig, outer_npg_exact
 from lqgames.model import (LqGame, benchmark_game, benchmark_initial_gain,
-                           build_compact, deterministic_noise, lift_gain,
+                           deterministic_noise, lift_gain,
                            scalar_demo_game, zero_gain)
 from lqgames.sim import RngStream, batch_rollout
 
@@ -37,10 +37,10 @@ def bench_nash():
 @pytest.fixture(scope="session")
 def exact_run(bench_nash):
     """Deterministic nested run on the benchmark with exact inner solves."""
-    ops = build_compact(benchmark_game())
+    game = benchmark_game()
     cfg = ExactSolverConfig(inner_mode="exact", tau2=4.67e-4, T=6000, stop_gap=1e-7)
     t0 = time.perf_counter()
-    K, trace = outer_npg_exact(ops, benchmark_initial_gain(), cfg,
+    K, trace = outer_npg_exact(game, benchmark_initial_gain(), cfg,
                                nash_value=bench_nash.value)
     return {"K": K, "trace": trace, "elapsed": time.perf_counter() - t0}
 

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqgames import certify
-from lqgames.model import (LqGame, benchmark_game, benchmark_initial_gain,
-                           build_compact, deterministic_noise, isotropic_noise,
-                           lift_gain, scalar_demo_game, time_invariant_game,
-                           zero_gain)
+from lqgames import certify, verify
+from lqgames.model import (LqGame, StructuredGain, benchmark_game,
+                           benchmark_initial_gain, isotropic_noise, lift_gain,
+                           scalar_demo_game, time_invariant_game, zero_gain)
 
 
 @pytest.fixture(scope="module")
@@ -16,8 +15,8 @@ def scalar():
 
 
 @pytest.fixture(scope="module")
-def bench_ops():
-    return build_compact(benchmark_game())
+def bench():
+    return benchmark_game()
 
 
 def k_half():
@@ -50,12 +49,12 @@ def test_objective_scalar(scalar):
     assert certify.objective(scalar, k_half(), zero_gain(scalar, "L")) == pytest.approx(2.5)
 
 
-def test_objective_dual_identity(bench_ops):
+def test_objective_dual_identity(bench):
     K = benchmark_initial_gain()
-    L = zero_gain(bench_ops.game, "L")
-    obj = certify.objective(bench_ops, K, L)
-    M = certify.stage_cost_blocks(bench_ops, K, L)
-    S = certify.covariance_blocks(bench_ops, K, L)
+    L = zero_gain(bench, "L")
+    obj = certify.objective(bench, K, L)
+    M = certify.stage_cost_blocks(bench, K, L)
+    S = certify.covariance_blocks(bench, K, L)
     dual = float(sum(np.trace(m @ s) for m, s in zip(M, S)))
     assert obj == pytest.approx(dual, rel=1e-8)
 
@@ -127,23 +126,23 @@ def test_solve_nash_scalar(scalar):
     assert E.frobenius_norm() <= 1e-10
 
 
-def test_solve_nash_benchmark(bench_ops):
-    sol = certify.solve_nash(bench_ops)
+def test_solve_nash_benchmark(bench):
+    sol = certify.solve_nash(bench)
     assert sol.value == pytest.approx(3.2330, abs=5e-4)
     assert sol.margin == pytest.approx(4.2860, abs=5e-4)
 
 
-def test_solve_nash_saddle_point(bench_ops):
-    sol = certify.solve_nash(bench_ops)
+def test_solve_nash_saddle_point(bench):
+    sol = certify.solve_nash(bench)
     rng = np.random.default_rng(7)
-    g = bench_ops.game
+    g = bench
     for _ in range(20):
         dK = lift_gain([1e-3 * rng.standard_normal((g.d, g.m))
                         for _ in range(g.horizon)], side="K")
         dL = lift_gain([1e-3 * rng.standard_normal((g.n, g.m))
                         for _ in range(g.horizon)], side="L")
-        assert certify.objective(bench_ops, sol.Kstar + dK, sol.Lstar) >= sol.value - 1e-9
-        assert certify.objective(bench_ops, sol.Kstar, sol.Lstar + dL) <= sol.value + 1e-9
+        assert certify.objective(bench, sol.Kstar + dK, sol.Lstar) >= sol.value - 1e-9
+        assert certify.objective(bench, sol.Kstar, sol.Lstar + dL) <= sol.value + 1e-9
 
 
 def test_solve_nash_infeasible_instance():
@@ -162,31 +161,31 @@ def test_lqr_reduction():
     g = time_invariant_game(A, B, np.zeros((2, 2)), np.eye(2), np.eye(2),
                             5 * np.eye(2), horizon=3, noise=isotropic_noise(2, 3))
     sol = certify.solve_nash(g)
-    assert sol.value == pytest.approx(certify.lqr_cost_oracle(g), abs=1e-10)
+    assert sol.value == pytest.approx(verify.lqr_cost_oracle(g), abs=1e-10)
     for b in sol.Lstar.blocks:
         assert np.allclose(b, 0.0, atol=1e-12)
 
 
-def test_khat_set_membership(bench_ops):
+def test_khat_set_membership(bench):
     K0 = benchmark_initial_gain()
-    anchor = certify.anchor_certificate(bench_ops, K0)
-    assert certify.in_Khat_set(bench_ops, K0, anchor).member
-    sol = certify.solve_nash(bench_ops)
-    assert certify.in_Khat_set(bench_ops, sol.Kstar, anchor).member
+    anchor = certify.anchor_certificate(bench, K0)
+    assert certify.in_Khat_set(bench, K0, anchor).member
+    sol = certify.solve_nash(bench)
+    assert certify.in_Khat_set(bench, sol.Kstar, anchor).member
     # inflate K far beyond the anchored sublevel bound
     far = K0.scale(6.0)
-    assert not certify.in_Khat_set(bench_ops, far, anchor).member
+    assert not certify.in_Khat_set(bench, far, anchor).member
 
 
-def test_certificate_consistency(bench_ops):
+def test_certificate_consistency(bench):
     K = benchmark_initial_gain()
-    L = zero_gain(bench_ops.game, "L")
-    cert = certify.certificate(bench_ops, K, L)
-    assert cert.objective == pytest.approx(certify.objective(bench_ops, K, L))
+    L = zero_gain(bench, "L")
+    cert = certify.certificate(bench, K, L)
+    assert cert.objective == pytest.approx(certify.objective(bench, K, L))
     doc = cert.to_dict()
     assert doc["objective"] == cert.objective
-    assert len(doc["P_blocks"]) == bench_ops.game.horizon + 1
-    assert len(doc["F_blocks"]) == bench_ops.game.horizon
+    assert len(doc["P_blocks"]) == bench.horizon + 1
+    assert len(doc["F_blocks"]) == bench.horizon
 
 
 @settings(max_examples=20, deadline=None)
@@ -214,3 +213,105 @@ def test_covariance_floor(seed):
     S = certify.covariance_blocks(g, K, L)
     lam = min(float(np.linalg.eigvalsh(s).min()) for s in S)
     assert lam >= g.noise.phi - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Stacked oracles against a plain per-stage loop
+# ---------------------------------------------------------------------------
+
+def _plain_closed_loop(g, K, L, h):
+    return g.A[h] - g.B[h] @ K.blocks[h] - g.D[h] @ L.blocks[h]
+
+
+def _plain_value_blocks(g, K, L):
+    P = [None] * g.horizon + [g.Q[g.horizon]]
+    for h in range(g.horizon - 1, -1, -1):
+        Kh, Lh, acl = K.blocks[h], L.blocks[h], _plain_closed_loop(g, K, L, h)
+        Ph = g.Q[h] + Kh.T @ g.Ru[h] @ Kh - Lh.T @ g.Rw[h] @ Lh + acl.T @ P[h + 1] @ acl
+        P[h] = 0.5 * (Ph + Ph.T)
+    return np.array(P)
+
+
+def _plain_covariance_blocks(g, K, L):
+    cov = g.noise.covariance_blocks
+    S = [cov[0]]
+    for h in range(g.horizon):
+        acl = _plain_closed_loop(g, K, L, h)
+        Sh = acl @ S[h] @ acl.T + cov[h + 1]
+        S.append(0.5 * (Sh + Sh.T))
+    return np.array(S)
+
+
+def _plain_natural_gradients(g, K, L, P):
+    F, E = [], []
+    for h in range(g.horizon):
+        Pn, Kh, Lh = P[h + 1], K.blocks[h], L.blocks[h]
+        F.append((g.Ru[h] + g.B[h].T @ Pn @ g.B[h]) @ Kh
+                 - g.B[h].T @ Pn @ (g.A[h] - g.D[h] @ Lh))
+        E.append((g.D[h].T @ Pn @ g.D[h] - g.Rw[h]) @ Lh
+                 - g.D[h].T @ Pn @ (g.A[h] - g.B[h] @ Kh))
+    return np.array(F), np.array(E)
+
+
+def _plain_best_response(g, K):
+    N = g.horizon
+    P = [None] * N + [g.Q[N]]
+    L, H = [None] * N, [None] * N
+    for h in range(N - 1, -1, -1):
+        Pn, Kh = P[h + 1], K.blocks[h]
+        H[h] = g.Rw[h] - g.D[h].T @ Pn @ g.D[h]
+        AK = g.A[h] - g.B[h] @ Kh
+        L[h] = -np.linalg.solve(H[h], g.D[h].T @ Pn @ AK)
+        Ptil = Pn + Pn @ g.D[h] @ np.linalg.solve(H[h], g.D[h].T @ Pn)
+        Ph = g.Q[h] + Kh.T @ g.Ru[h] @ Kh + AK.T @ Ptil @ AK
+        P[h] = 0.5 * (Ph + Ph.T)
+    return np.array(L), np.array(P), np.array(H)
+
+
+def _assert_close(a, b, rtol=1e-12):
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+def _reference_instances():
+    g = benchmark_game()
+    yield g, benchmark_initial_gain(), zero_gain(g, "L")
+    rng = np.random.default_rng(2024)
+    sol = certify.solve_nash(g)
+    yield (g, *verify.random_gain_pair(g, sol.Kstar, sol.Lstar, rng))
+    for _ in range(10):
+        m, d, n, N = (int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                      int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+        g = verify.random_game(rng, m=m, d=d, n=n, horizon=N)
+        sol = certify.solve_nash(g)
+        yield (g, *verify.random_gain_pair(g, sol.Kstar, sol.Lstar, rng))
+
+
+def test_stacked_oracles_match_per_stage_loop():
+    for g, K, L in _reference_instances():
+        P = certify.value_blocks(g, K, L)
+        _assert_close(P, _plain_value_blocks(g, K, L))
+        _assert_close(certify.covariance_blocks(g, K, L), _plain_covariance_blocks(g, K, L))
+        F, E = certify.natural_gradients(g, K, L, P)
+        F_ref, E_ref = _plain_natural_gradients(g, K, L, P)
+        _assert_close(F.blocks, F_ref)
+        _assert_close(E.blocks, E_ref)
+        br = certify.best_response_L(g, K)
+        assert br.feasible
+        L_ref, P_ref, H_ref = _plain_best_response(g, K)
+        _assert_close(br.L.blocks, L_ref)
+        _assert_close(br.P_blocks, P_ref)
+        _assert_close(br.H_blocks, H_ref)
+        _assert_close(br.H_eigvals, np.array([np.linalg.eigvalsh(h) for h in H_ref]))
+        _assert_close(br.P_eigvals, np.array([np.linalg.eigvalsh(p) for p in P_ref]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])
+def test_best_response_nonfinite_gain_is_infeasible(bench, value):
+    blocks = np.array(benchmark_initial_gain().blocks)
+    blocks[2, 0, 1] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        br = certify.best_response_L(bench, StructuredGain("K", blocks))
+        assert not br.feasible
+        assert np.isnan(br.lam_min)
+        assert not certify.in_feasible_set(bench, StructuredGain("K", blocks)).member

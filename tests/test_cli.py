@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from lqgames import cli
-from lqgames.model import LqGame, isotropic_noise, save_game
+from lqgames.model import (LqGame, benchmark_game, game_to_dict, isotropic_noise,
+                           save_game)
 
 
 def write_config(tmp_path, **doc):
@@ -124,6 +125,40 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     assert cli.main(["nash", "--config", cfg]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err
+    # malformed seeds and initial gains: one line each, no traceback
+    for doc in ({"seeds": 5}, {"seeds": ["a"]}, {"seeds": []}, {"seeds": [True]},
+                {"seeds": [-1]}, {"initial_gain": [[[1, 2]]]},
+                {"initial_gain": [[[1.0, 2.0, 3.0]]] * 4}, {"initial_gain": "bogus"}):
+        cfg = write_config(tmp_path, mode="exact-npg", out=str(tmp_path / "o"),
+                           solver={"T": 2}, **doc)
+        assert cli.main(["run", "--config", cfg]) == cli.EXIT_CONFIG, doc
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1, (doc, err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_nash_nonfinite_game_is_config_error(tmp_path, capsys):
+    doc = game_to_dict(benchmark_game())
+    doc["stages"][0]["A"][0][0] = float("nan")
+    game_path = tmp_path / "nan.json"
+    game_path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, game=str(game_path), mode="nash")
+    rc = cli.main(["nash", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "A[0]" in err and err.count("\n") == 1
+    assert not (tmp_path / "o" / "nash.json").exists()
+
+
+def test_run_nonfinite_iterate_is_divergence(tmp_path, capsys):
+    # desk radii with a small batch: an iterate jumps to non-finite values
+    cfg = write_config(tmp_path, mode="zo-npg", seeds=[0], out=str(tmp_path / "o"),
+                       zo={"r1": 2.0, "r2": 0.18, "M1": 300, "M2": 300, "tau1": 0.04,
+                           "tau2": 4.67e-4, "T_in": 10, "T": 60})
+    assert cli.main(["run", "--config", cfg]) == cli.EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("divergence") and err.count("\n") == 1
+    assert (tmp_path / "o" / "trace_seed0.csv").exists()  # partial trace kept
 
 
 @pytest.mark.parametrize("mode, section, bad", [

@@ -5,14 +5,14 @@ from lqgames import certify, exact
 from lqgames.exact import (DivergenceError, ExactSolverConfig, inner_npg_exact,
                            outer_npg_exact)
 from lqgames.model import (benchmark_game, benchmark_initial_gain,
-                           build_compact, lift_gain, scalar_demo_game,
+                           lift_gain, scalar_demo_game,
                            zero_gain)
 from lqgames.zo import ZoConfig, outer_zo_npg
 
 
 @pytest.fixture(scope="module")
 def scalar():
-    return build_compact(scalar_demo_game())
+    return scalar_demo_game()
 
 
 def test_config_validation():
@@ -35,7 +35,7 @@ def test_inner_one_step_scalar(scalar):
     # L1 = L0 + tau1 * E = 0 + 0.1 * (-0.25)
     K = lift_gain([np.array([[0.5]])], side="K")
     cfg = ExactSolverConfig(tau1=0.1, inner_mode="fixed", T_in=1)
-    L, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar.game, "L"), cfg)
+    L, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar, "L"), cfg)
     assert L.blocks[0][0, 0] == pytest.approx(-0.025)
     assert len(gaps) == 2  # pre-update gap plus the post-loop gap
 
@@ -43,7 +43,7 @@ def test_inner_one_step_scalar(scalar):
 def test_inner_gap_mode_converges(scalar):
     K = lift_gain([np.array([[0.5]])], side="K")
     cfg = ExactSolverConfig(tau1=0.1, inner_mode="gap", eps1=1e-10)
-    L, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar.game, "L"), cfg)
+    L, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar, "L"), cfg)
     br = certify.best_response_L(scalar, K)
     assert abs(L.blocks[0][0, 0] - br.L.blocks[0][0, 0]) <= 1e-4
     assert gaps[-1] <= 1e-10
@@ -78,26 +78,26 @@ def test_outer_stationary_at_nash(scalar):
 
 
 def test_outer_monotone_gap_benchmark():
-    ops = build_compact(benchmark_game())
+    game = benchmark_game()
     cfg = ExactSolverConfig(inner_mode="exact", tau2=4.67e-4, T=100)
-    _, trace = outer_npg_exact(ops, benchmark_initial_gain(), cfg)
+    _, trace = outer_npg_exact(game, benchmark_initial_gain(), cfg)
     gaps = trace.gaps()
     assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
     assert all(row.in_Khat for row in trace.rows)
 
 
 def test_outer_stop_gap_short_circuits():
-    ops = build_compact(benchmark_game())
+    game = benchmark_game()
     cfg = ExactSolverConfig(inner_mode="exact", tau2=4.67e-4, T=10_000,
                             stop_gap=1.0)
-    _, trace = outer_npg_exact(ops, benchmark_initial_gain(), cfg)
+    _, trace = outer_npg_exact(game, benchmark_initial_gain(), cfg)
     assert len(trace.rows) < 10_000
     assert trace.final_gap() <= 1.0
 
 
 def _exact_run(tau2):
     cfg = ExactSolverConfig(inner_mode="exact", tau2=tau2, T=50)
-    return outer_npg_exact(build_compact(benchmark_game()), benchmark_initial_gain(), cfg)
+    return outer_npg_exact(benchmark_game(), benchmark_initial_gain(), cfg)
 
 
 def _zo_run(tau2):
@@ -159,7 +159,7 @@ def test_inner_gap_mode_one_value_recursion_per_step(scalar, monkeypatch):
     br = certify.best_response_L(scalar, K)
     calls = _count_calls(monkeypatch, "value_blocks")
     cfg = ExactSolverConfig(tau1=0.1, inner_mode="gap", eps1=1e-10)
-    _, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar.game, "L"), cfg, br)
+    _, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar, "L"), cfg, br)
     assert len(gaps) > 2
     # one per inner step plus the final check, each recording one gap
     assert len(calls) == len(gaps)

@@ -3,22 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lqgames import verify
 from lqgames.model import (LqGame, ModelError, NoiseModel, StructuredGain,
-                           benchmark_game, benchmark_initial_gain, build_compact,
+                           benchmark_game, benchmark_initial_gain,
                            deterministic_noise, game_from_dict, game_to_dict,
                            isotropic_noise, lift_gain, load_game, resolve_game,
                            save_game, scalar_demo_game, time_invariant_game,
-                           validate_gain, zero_gain)
+                           zero_gain)
 
 
 def test_benchmark_dimensions():
     g = benchmark_game()
     assert (g.m, g.d, g.n, g.horizon) == (3, 3, 3, 5)
     assert len(g.Q) == 6
-    ops = build_compact(g)
-    assert ops.d_K == 45
-    assert ops.d_L == 45
-    assert ops.state_dim == 18
+    assert (g.A.shape, g.B.shape, g.D.shape) == ((5, 3, 3),) * 3
+    assert (g.Q.shape, g.Ru.shape, g.Rw.shape) == ((6, 3, 3), (5, 3, 3), (5, 3, 3))
+    assert g.noise.covariance_blocks.shape == (6, 3, 3)
+    assert benchmark_initial_gain().blocks.shape == (5, 3, 3)
 
 
 def test_scalar_demo_dimensions():
@@ -28,9 +29,37 @@ def test_scalar_demo_dimensions():
 
 def test_dimension_mismatch_raises_with_stage_name():
     g = benchmark_game()
-    bad_B = g.B[:2] + (np.zeros((2, 3)),) + g.B[3:]
+    bad_B = list(g.B[:2]) + [np.zeros((2, 3))] + list(g.B[3:])
     with pytest.raises(ModelError, match=r"B\[2\]"):
         LqGame(A=g.A, B=bad_B, D=g.D, Q=g.Q, Ru=g.Ru, Rw=g.Rw, noise=g.noise)
+    with pytest.raises(ModelError, match=r"Ru\[0\] has shape \(2, 2\)"):
+        LqGame(A=g.A, B=g.B, D=g.D, Q=g.Q, Ru=[np.eye(2)] * 5, Rw=g.Rw, noise=g.noise)
+    ragged_D = [g.D[0], [[1.0, 2.0, 3.0], [4.0]]] + list(g.D[2:])
+    with pytest.raises(ModelError, match=r"D\[1\] is not a numeric matrix"):
+        LqGame(A=g.A, B=g.B, D=ragged_D, Q=g.Q, Ru=g.Ru, Rw=g.Rw, noise=g.noise)
+
+
+@pytest.mark.parametrize("name, stage", [("A", 0), ("B", 3), ("Q", 5), ("Rw", 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_nonfinite_game_rejected(name, stage, value):
+    g = benchmark_game()
+    blocks = np.array(getattr(g, name))
+    blocks[stage, 0, 0] = value
+    with pytest.raises(ModelError, match=rf"{name}\[{stage}\] has non-finite entries"):
+        LqGame(**{**{k: getattr(g, k) for k in ("A", "B", "D", "Q", "Ru", "Rw")},
+                  name: blocks}, noise=g.noise)
+
+
+def test_nonfinite_noise_rejected():
+    cov = np.array([np.eye(2)] * 3)
+    cov[1, 0, 1] = np.nan
+    with pytest.raises(ModelError, match=r"covariance block\[1\] has non-finite"):
+        NoiseModel(kind="truncated-gaussian", covariance_blocks=cov, bound=1.0)
+    with pytest.raises(ModelError, match="bound"):
+        NoiseModel(kind="truncated-gaussian", covariance_blocks=[np.eye(2)], bound=np.inf)
+    with pytest.raises(ModelError, match="fixed initial state"):
+        NoiseModel(kind="deterministic-zero", covariance_blocks=[np.eye(2)], bound=1.0,
+                   fixed_initial_state=[1.0, np.nan])
 
 
 def test_nonsymmetric_cost_rejected():
@@ -48,34 +77,33 @@ def test_nonsymmetric_cost_rejected():
 
 def test_compact_lift_shapes_and_nilpotency():
     g = benchmark_game()
-    ops = build_compact(g)
-    A = ops.full_A()
+    # the lifted dynamics are the lifted closed loop of the zero gains
+    A = verify.full_closed_loop(g, zero_gain(g, "K"), zero_gain(g, "L"))
     assert A.shape == (18, 18)
+    assert np.array_equal(A[3:6, 0:3], g.A[0])
     # strictly lower block structure: nilpotent of index N+1
     power = np.linalg.matrix_power(A, g.horizon + 1)
     assert np.allclose(power, 0.0)
     K = benchmark_initial_gain()
-    Acl = ops.full_closed_loop(K, zero_gain(g, "L"))
+    Acl = verify.full_closed_loop(g, K, zero_gain(g, "L"))
     assert np.allclose(np.linalg.matrix_power(Acl, g.horizon + 1), 0.0)
-    assert ops.full_B().shape == (18, 15)
-    assert ops.full_D().shape == (18, 15)
+
+
+def _unlift(full, N, p, m):
+    """Stage blocks of a lifted gain; asserts every other entry is zero."""
+    blocks = [full[h * p:(h + 1) * p, h * m:(h + 1) * m].copy() for h in range(N)]
+    rest = full.copy()
+    for h in range(N):
+        rest[h * p:(h + 1) * p, h * m:(h + 1) * m] = 0.0
+    assert not rest.any()
+    return np.array(blocks)
 
 
 def test_gain_lift_pattern():
     K = benchmark_initial_gain()
-    full = K.lift()
+    full = verify.full_gain(K)
     assert full.shape == (15, 18)
-    back = validate_gain(full, "K", 5)
-    for a, b in zip(back.blocks, K.blocks):
-        assert np.array_equal(a, b)
-
-
-def test_validate_gain_rejects_off_pattern():
-    full = benchmark_initial_gain().lift()
-    full = full.copy()
-    full[0, 5] = 1e-300  # tiny but nonzero off-pattern entry
-    with pytest.raises(ModelError, match=r"\(0, 5\)"):
-        validate_gain(full, "K", 5)
+    assert np.array_equal(_unlift(full, 5, 3, 3), K.blocks)
 
 
 def test_gain_arithmetic():
@@ -160,6 +188,6 @@ def test_lift_round_trip_property(m, p, N, seed):
     rng = np.random.default_rng(seed)
     blocks = [rng.standard_normal((p, m)) for _ in range(N)]
     gain = lift_gain(blocks, side="K")
-    back = validate_gain(gain.lift(), "K", N)
-    for a, b in zip(back.blocks, blocks):
-        assert np.array_equal(a, b)
+    full = verify.full_gain(gain)
+    assert full.shape == (N * p, (N + 1) * m)
+    assert np.array_equal(_unlift(full, N, p, m), np.array(blocks))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lqgames import certify, sim
+from lqgames import certify, sim, zo
 from lqgames.model import (NoiseModel, benchmark_game, benchmark_initial_gain,
                            isotropic_noise, lift_gain, scalar_demo_game,
                            zero_gain)
@@ -30,13 +30,14 @@ def test_rollout_deterministic_noise():
     g = scalar_demo_game(deterministic=True)
     K = lift_gain([np.array([[0.5]])], side="K")
     L = zero_gain(g, "L")
-    traj = sim.rollout(g, K, L, sim.RngStream(0))
+    costs, states = sim.batch_rollout(g, K, L, 1, sim.RngStream(0).generator(),
+                                      return_states=True)
     # x0 = 1, u0 = -0.5, x1 = 1 - 0.5 = 0.5
-    assert traj.states == pytest.approx(np.array([[1.0], [0.5]]))
+    assert states[0] == pytest.approx(np.array([[1.0], [0.5]]))
     # cost = x0^2 + u0^2 + x1^2 = 1 + 0.25 + 0.25
-    assert traj.cost == pytest.approx(1.5)
+    assert costs[0] == pytest.approx(1.5)
     P = certify.value_blocks(g, K, L)
-    assert traj.cost == pytest.approx(P[0][0, 0])
+    assert costs[0] == pytest.approx(P[0][0, 0])
 
 
 def test_batch_rollout_shapes():
@@ -76,31 +77,36 @@ def test_mean_covariance_matches_model():
     g = benchmark_game()
     K = benchmark_initial_gain()
     L = zero_gain(g, "L")
-    est = sim.batch_mean_covariance(g, K, L, 100_000, sim.RngStream(5).generator())
+    _, states = sim.batch_rollout(g, K, L, 100_000, sim.RngStream(5).generator(),
+                                  return_states=True)
+    blocks = sim.mean_covariance_blocks(states)
     S = certify.covariance_blocks(g, K, L)
-    for a, b in zip(est.blocks, S):
+    for a, b in zip(blocks, S):
         assert np.allclose(a, b, atol=6e-3 * (1 + np.linalg.norm(b)))
-    assert est.gate_ok
-    assert est.lambda_min >= g.noise.phi / 2
+    gated_blocks, gated = zo._apply_covariance_gate(g, blocks, "regularize")
+    assert not gated
+    assert gated_blocks is blocks
 
 
 def test_covariance_gate_flag_small_batch():
     # a single rollout gives rank-one blocks: lambda_min = 0 < phi/2
     g = benchmark_game()
-    est = sim.batch_mean_covariance(g, benchmark_initial_gain(),
-                                    zero_gain(g, "L"), 1,
-                                    sim.RngStream(0).generator())
-    assert not est.gate_ok
+    _, states = sim.batch_rollout(g, benchmark_initial_gain(), zero_gain(g, "L"), 1,
+                                  sim.RngStream(0).generator(), return_states=True)
+    _, gated = zo._apply_covariance_gate(g, sim.mean_covariance_blocks(states), "regularize")
+    assert gated
 
 
 def test_empirical_covariance_rank_one():
-    g = scalar_demo_game()
-    traj = sim.rollout(g, lift_gain([np.array([[0.5]])], "K"),
-                       zero_gain(g, "L"), sim.RngStream(3))
-    blocks = sim.empirical_covariance(traj)
-    assert len(blocks) == g.horizon + 1
-    for x, b in zip(traj.states, blocks):
+    # the mean second moment of a single trajectory is x_h x_h' per stage
+    g = benchmark_game()
+    _, states = sim.batch_rollout(g, benchmark_initial_gain(), zero_gain(g, "L"), 1,
+                                  sim.RngStream(3).generator(), return_states=True)
+    blocks = sim.mean_covariance_blocks(states)
+    assert blocks.shape == (g.horizon + 1, g.m, g.m)
+    for x, b in zip(states[0], blocks):
         assert np.allclose(b, np.outer(x, x))
+        assert np.linalg.matrix_rank(b) == 1
 
 
 @settings(max_examples=10, deadline=None)

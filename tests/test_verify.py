@@ -6,7 +6,7 @@ import pytest
 from lqgames import certify, verify
 from lqgames.exact import ExactSolverConfig, outer_npg_exact
 from lqgames.model import (benchmark_game, benchmark_initial_gain,
-                           build_compact, lift_gain, scalar_demo_game,
+                           lift_gain, scalar_demo_game,
                            zero_gain)
 
 
@@ -27,9 +27,9 @@ def test_brute_force_matches_certify_benchmark():
 
 
 def test_fd_gradient_matches_analytic():
-    g = build_compact(benchmark_game())
+    g = benchmark_game()
     K = benchmark_initial_gain()
-    L = zero_gain(g.game, "L")
+    L = zero_gain(g, "L")
     for side in ("K", "L"):
         a = verify.analytic_gradient(g, K, L, side)
         f = verify.finite_diff_gradient(g, K, L, side)
@@ -38,7 +38,7 @@ def test_fd_gradient_matches_analytic():
 
 
 def test_analytic_gradient_is_2FSigma():
-    g = build_compact(scalar_demo_game())
+    g = scalar_demo_game()
     K = lift_gain([np.array([[0.7]])], "K")
     L = lift_gain([np.array([[0.1]])], "L")
     F, E = certify.natural_gradients(g, K, L)
@@ -50,24 +50,24 @@ def test_analytic_gradient_is_2FSigma():
 
 
 def test_gradient_domination_at_interior_point():
-    ops = build_compact(benchmark_game())
-    sol = certify.solve_nash(ops)
-    rep = verify.check_gradient_domination(ops, benchmark_initial_gain(), sol.value)
+    game = benchmark_game()
+    sol = certify.solve_nash(game)
+    rep = verify.check_gradient_domination(game, benchmark_initial_gain(), sol.value)
     assert rep.passed
 
 
 def test_descent_along_exact_run():
-    ops = build_compact(scalar_demo_game())
+    game = scalar_demo_game()
     cfg = ExactSolverConfig(inner_mode="exact", tau2=0.05, T=20)
     K = lift_gain([np.array([[0.8]])], "K")
-    br = certify.best_response_L(ops, K)
+    br = certify.best_response_L(game, K)
     for _ in range(10):
-        F, _ = certify.natural_gradients(ops, K, br.L)
+        F, _ = certify.natural_gradients(game, K, br.L)
         K_next = K - F.scale(0.05)
-        rep = verify.check_descent(ops, K, K_next, 0.05)
+        rep = verify.check_descent(game, K, K_next, 0.05)
         assert rep.passed
         K = K_next
-        br = certify.best_response_L(ops, K)
+        br = certify.best_response_L(game, K)
 
 
 def test_random_game_valid_and_deterministic():
@@ -75,18 +75,16 @@ def test_random_game_valid_and_deterministic():
     g2 = verify.random_game(np.random.default_rng(5), m=2, d=2, n=1, horizon=3)
     for a, b in zip(g1.A, g2.A):
         assert np.array_equal(a, b)
-    ops = build_compact(g1)
-    certify.solve_nash(ops)  # must be a feasible instance
+    certify.solve_nash(g1)  # must be a feasible instance
 
 
 def test_random_feasible_gain_is_feasible():
     rng = np.random.default_rng(9)
     g = verify.random_game(rng)
-    ops = build_compact(g)
-    sol = certify.solve_nash(ops)
+    sol = certify.solve_nash(g)
     for _ in range(5):
-        K = verify.random_feasible_gain(ops, sol.Kstar, rng)
-        assert certify.in_feasible_set(ops, K).member
+        K = verify.random_feasible_gain(g, sol.Kstar, rng)
+        assert certify.in_feasible_set(g, K).member
 
 
 def test_property_suite_all_green():
