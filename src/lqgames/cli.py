@@ -1,9 +1,16 @@
 """Command-line front end: Nash solve, solver runs, and the property suite.
 
 Configuration is a single JSON document with a ``mode`` discriminator; flags
-can override seeds and the output directory.  Exit codes: 0 success,
-1 configuration or parse error, 2 infeasible instance, 3 divergence,
-4 verification failure.
+can override seeds and the output directory.  Exit codes, each failure
+with a one-line message on stderr:
+
+- 0 success;
+- 1 configuration or parse error;
+- 2 infeasible instance;
+- 3 divergence (the partial trace is kept);
+- 4 verification failure;
+- 5 covariance gate failed twice under ``gate_policy: reject-and-resample``;
+- 6 gap-mode inner loop reached ``inner_cap`` before ``eps1``.
 """
 
 from __future__ import annotations
@@ -19,17 +26,19 @@ from pathlib import Path
 import numpy as np
 
 from . import certify, verify
-from .exact import DivergenceError, ExactSolverConfig, outer_npg_exact
+from .exact import DivergenceError, ExactSolverConfig, InnerLoopError, outer_npg_exact
 from .model import (LqGame, ModelError, StructuredGain, benchmark_initial_gain,
                     lift_gain, resolve_game, zero_gain)
 from .trace import RunTrace, fmt
-from .zo import ZoConfig, outer_zo_npg
+from .zo import CovarianceGateError, ZoConfig, outer_zo_npg
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY = 4
+EXIT_COVARIANCE_GATE = 5
+EXIT_INNER_LOOP = 6
 
 _MODES = ("nash", "exact-npg", "zo-npg", "verify")
 
@@ -188,6 +197,12 @@ def cmd_run(config: ExperimentConfig, out: Path, timings: bool) -> int:
             print(f"divergence (seed {seed}): {exc}; partial trace at {csv_path}",
                   file=sys.stderr)
             return EXIT_DIVERGENCE
+        except CovarianceGateError as exc:
+            print(f"stopped (seed {seed}): {exc}", file=sys.stderr)
+            return EXIT_COVARIANCE_GATE
+        except InnerLoopError as exc:
+            print(f"stopped (seed {seed}): {exc}", file=sys.stderr)
+            return EXIT_INNER_LOOP
         trace.write_csv(csv_path, include_timings=timings)
         traces[seed] = trace
         if trace.rows and trace.rows[-1].samples_used_inner is not None:

@@ -121,41 +121,47 @@ StepOracle = Callable[[int, StructuredGain, certify.BestResponse],
 def _outer_descent(game: LqGame, K0: StructuredGain, step_oracle: StepOracle,
                    T: int, tau2: float, nash_value: float | None,
                    stop_gap: float | None = None,
-                   stochastic: bool = False) -> tuple[StructuredGain, RunTrace]:
+                   batch: tuple[int, int] | None = None) -> tuple[StructuredGain, RunTrace]:
     """Outer loop shared by the nested solvers: K <- K - tau2 * step_oracle(t, K, br).
 
     The best response ``br`` of each iterate is computed once; the
     feasibility and divergence guards, the primal gap, lambda_min(H) and the
-    anchored-set test all read it.  A stochastic trace accumulates the
-    oracle's sample and gate counts.
+    anchored-set test all read it.  ``batch`` gives the (M1, M2) sample
+    batches of a stochastic oracle, whose trace accumulates its sample and
+    gate counts; it is None for an exact oracle.
     """
+    cause = f"stepsize tau2={tau2:g} too large"
+    if batch is not None:
+        cause += f" or sample batches M1={batch[0]}, M2={batch[1]} too small"
     if nash_value is None:
         nash_value = certify.solve_nash(game).value
     khat_bound = certify.khat_bound(game, certify.anchor_certificate(game, K0))
     K = K0
-    trace = RunTrace(stochastic=stochastic)
+    trace = RunTrace(stochastic=batch is not None)
     initial_obj: float | None = None
     totals = (0, 0, 0)
     t0 = time.perf_counter()
     for t in range(T):
         br = certify.best_response_L(game, K)
         if not br.feasible:
+            what = ("is not finite" if math.isnan(br.lam_min)
+                    else f"left the feasible set (lambda_min={br.lam_min:g})")
             raise DivergenceError(
-                f"iterate {t} left the feasible set at stage {br.violating_stage} "
-                f"(lambda_min={br.lam_min:g}); stepsize too large", trace)
+                f"iterate {t} {what} at stage {br.violating_stage}; likely cause: {cause}", trace)
         primal = certify.expected_cost(game, br.P_blocks)
         if initial_obj is None:
             initial_obj = primal
         if primal > DIVERGENCE_FACTOR * initial_obj:
             raise DivergenceError(
-                f"objective {primal:g} exceeded {DIVERGENCE_FACTOR:g}x its initial value", trace)
+                f"objective {primal:g} exceeded {DIVERGENCE_FACTOR:g}x its initial value; "
+                f"likely cause: {cause}", trace)
         step, counts = step_oracle(t, K, br)
         gap = primal - nash_value
         row = TraceRow(
             t=t, objective_gap=gap, frob_F=step.frobenius_norm(), lambda_min_H=br.min_margin,
             in_Khat=certify.khat_report(br, khat_bound).member,
             wallclock_ms=(time.perf_counter() - t0) * 1e3)
-        if stochastic:
+        if batch is not None:
             totals = tuple(a + b for a, b in zip(totals, counts))
             row.samples_used_inner, row.samples_used_outer, row.covariance_gate_hits = totals
         trace.append(row)

@@ -128,6 +128,13 @@ class NoiseModel:
         """Smallest eigenvalue of the block-diagonal lifted covariance."""
         return float(np.linalg.eigvalsh(self.covariance_blocks)[:, 0].min())
 
+    @property
+    def normals_per_sample(self) -> int:
+        """Standard normals ``sample`` draws per vector before any rejection redraw."""
+        if self.kind != "truncated-gaussian":
+            return 0
+        return self.covariance_blocks.shape[0] * self.dim
+
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
         """Draw ``count`` lifted noise vectors, shape (count, N+1, m).
 

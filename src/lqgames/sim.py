@@ -3,7 +3,8 @@
 Rollouts follow x_{h+1} = (A_h - B_h K_h - D_h L_h) x_h + xi_h.  All batch
 operations draw from counter-based Philox streams addressed by explicit
 indices, so results are bit-reproducible for a fixed seed regardless of how
-work is scheduled.
+work is scheduled: a stream's normals may be drawn ahead on another thread
+(``PrefetchedNormals``) without changing any draw.
 """
 
 from __future__ import annotations
@@ -33,6 +34,34 @@ class RngStream:
 
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.indices + tuple(indices))
+
+
+class PrefetchedNormals:
+    """A generator whose next standard normals were drawn ahead into a buffer.
+
+    ``buffer`` must hold ``rng.standard_normal(out=buffer)``, so ``rng``
+    stands right after it.  Normals are handed out from the buffer in order,
+    then from ``rng``: any chunking gives the draws of the plain generator.
+    Any other draw must come after the buffer is used up.
+    """
+
+    def __init__(self, rng: np.random.Generator, buffer: np.ndarray):
+        self._rng = rng
+        self._buffer = buffer.reshape(-1)
+        self._pos = 0
+
+    def standard_normal(self, size) -> np.ndarray:
+        n = math.prod(size) if isinstance(size, tuple) else int(size)
+        head = self._buffer[self._pos:self._pos + n]  # a view: never handed out twice
+        self._pos += head.size
+        if head.size < n:
+            head = np.concatenate((head, self._rng.standard_normal(n - head.size)))
+        return head.reshape(size)
+
+    def uniform(self, low, high, size) -> np.ndarray:
+        if self._pos < self._buffer.size:
+            raise RuntimeError("uniform draw requested before the prefetched normals were used")
+        return self._rng.uniform(low, high, size)
 
 
 def batch_rollout(game: LqGame, K: StructuredGain, L: StructuredGain, count: int,

@@ -9,6 +9,7 @@ reports); the updates themselves are purely simulation-driven.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Literal
 
@@ -17,7 +18,7 @@ import numpy as np
 from . import certify
 from .exact import _check_numbers, _outer_descent
 from .model import LqGame, StructuredGain, zero_gain
-from .sim import RngStream, batch_rollout, mean_covariance_blocks
+from .sim import PrefetchedNormals, RngStream, batch_rollout, mean_covariance_blocks
 from .trace import RunTrace
 
 # stream purpose indices: keep stable so runs are reproducible across versions
@@ -113,17 +114,33 @@ def natural_step(grad: StructuredGain, cov_blocks: np.ndarray) -> StructuredGain
 def _estimate_step(game: LqGame, K: StructuredGain, L: StructuredGain,
                    side: Literal["K", "L"], r: float, count: int,
                    stream: RngStream, policy: str) -> tuple[StructuredGain, int, int]:
-    """One (gradient, covariance) estimation round; returns (step, gate hits, samples)."""
+    """One (gradient, covariance) estimation round; returns (step, gate hits, samples).
+
+    An attempt's two rollouts draw from independent streams whose draws do
+    not depend on the iterate.  A helper thread therefore draws the gradient
+    stream's leading normals (sphere directions, then Gaussian noise) while
+    this thread runs the covariance rollout.  The helper calls only numpy and
+    is joined before its buffer is read, so every draw is the plain one.
+    """
+    _, _, dim = gain_dims(game, side)
+    prefetch = count * (dim + game.noise.normals_per_sample)
     gate_hits = 0
     samples = 0
     for attempt in range(2):
-        grad = zo_gradient(game, K, L, side, r, count,
-                           stream.child(_COST, attempt).generator())
-        _, states = batch_rollout(game, K, L, count,
-                                  stream.child(_COV, attempt).generator(),
-                                  return_states=True)
+        cost_rng = stream.child(_COST, attempt).generator()
+        normals = np.empty(prefetch)
+        helper = threading.Thread(target=cost_rng.standard_normal, kwargs={"out": normals})
+        helper.start()
+        try:
+            _, states = batch_rollout(game, K, L, count,
+                                      stream.child(_COV, attempt).generator(),
+                                      return_states=True)
+            cov = mean_covariance_blocks(states)
+            del states  # freed before the gradient rollout allocates its own
+        finally:
+            helper.join()
+        grad = zo_gradient(game, K, L, side, r, count, PrefetchedNormals(cost_rng, normals))
         samples += 2 * count
-        cov = mean_covariance_blocks(states)
         cov, gated = _apply_covariance_gate(game, cov, policy)
         if gated:
             gate_hits += 1
@@ -186,7 +203,7 @@ def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig,
         return step, (inner_used, outer_used, inner_hits + outer_hits)
 
     return _outer_descent(game, K0, zo_step, config.T, config.tau2, nash_value,
-                          stochastic=True)
+                          batch=(config.M1, config.M2))
 
 
 def smoothed_objective_fd(game: LqGame, K: StructuredGain, L: StructuredGain,

@@ -158,7 +158,27 @@ def test_run_nonfinite_iterate_is_divergence(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg]) == cli.EXIT_DIVERGENCE
     err = capsys.readouterr().err
     assert err.startswith("divergence") and err.count("\n") == 1
+    # named as non-finite, with the stepsize and the batch as likely causes
+    assert "iterate 2 is not finite" in err
+    assert "tau2=0.000467" in err and "M1=300, M2=300" in err
     assert (tmp_path / "o" / "trace_seed0.csv").exists()  # partial trace kept
+
+
+@pytest.mark.parametrize("mode, section, params, code, message", [
+    # M = 1 gives rank-one covariance blocks, so the gate fails both attempts
+    ("zo-npg", "zo", {"M1": 1, "M2": 1, "T_in": 1, "T": 1,
+                      "gate_policy": "reject-and-resample"},
+     cli.EXIT_COVARIANCE_GATE, "covariance gate failed twice"),
+    ("exact-npg", "solver", {"inner_mode": "gap", "eps1": 1e-12, "inner_cap": 1, "T": 3},
+     cli.EXIT_INNER_LOOP, "inner loop failed to reach gap 1e-12 in 1 iterations"),
+])
+def test_run_solver_stop_exit_codes(tmp_path, capsys, mode, section, params, code, message):
+    cfg = write_config(tmp_path, mode=mode, seeds=[0], out=str(tmp_path / "o"),
+                       **{section: params})
+    assert cli.main(["run", "--config", cfg]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("stopped (seed 0): ") and err.count("\n") == 1, err
+    assert message in err
 
 
 @pytest.mark.parametrize("mode, section, bad", [

@@ -199,3 +199,53 @@ def test_noise_sample_stream_layout(sigma):
     for i, cov in enumerate(g.noise.covariance_blocks):
         expect = rng.standard_normal((500, g.m)) @ np.linalg.cholesky(cov).T
         assert np.array_equal(xi[:, i, :], expect)
+
+
+_chunk = st.one_of(st.integers(0, 40),
+                   st.tuples(st.integers(0, 6), st.integers(0, 7)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prefetched=st.integers(0, 60), chunks=st.lists(_chunk, max_size=8))
+def test_prefetched_normals_match_generator(prefetched, chunks):
+    # any chunking, inside the buffer, across its end or past it, hands out
+    # the plain generator's normals in order
+    rng = sim.RngStream(3, (1,)).generator()
+    buffer = np.empty(prefetched)
+    rng.standard_normal(out=buffer)
+    stream = sim.PrefetchedNormals(rng, buffer)
+    plain = sim.RngStream(3, (1,)).generator()
+    for size in chunks:
+        got = stream.standard_normal(size)
+        assert got.shape == (size if isinstance(size, tuple) else (size,))
+        assert np.array_equal(got, plain.standard_normal(size))
+
+
+def test_prefetched_normals_uniform_after_buffer():
+    rng = sim.RngStream(5).generator()
+    buffer = np.empty(30)
+    rng.standard_normal(out=buffer)
+    stream = sim.PrefetchedNormals(rng, buffer)
+    stream.standard_normal((4, 5))
+    with pytest.raises(RuntimeError):
+        stream.uniform(-1.0, 1.0, size=3)  # would skip the 10 unread normals
+    stream.standard_normal(10)
+    plain = sim.RngStream(5).generator()
+    plain.standard_normal(30)
+    assert np.array_equal(stream.uniform(-1.0, 1.0, size=(2, 3)),
+                          plain.uniform(-1.0, 1.0, size=(2, 3)))
+
+
+@pytest.mark.parametrize("kind", ["truncated-gaussian", "scaled-uniform"])
+def test_noise_normals_per_sample(kind):
+    # with the default bound no rejection redraw runs, so one sample takes
+    # exactly normals_per_sample normals before any other draw
+    g = _with_noise(benchmark_game(), kind, isotropic=False)
+    assert g.noise.normals_per_sample == (
+        (g.horizon + 1) * g.m if kind == "truncated-gaussian" else 0)
+    if kind == "truncated-gaussian":
+        a = sim.RngStream(6).generator()
+        g.noise.sample(300, a)
+        b = sim.RngStream(6).generator()
+        b.standard_normal(300 * g.noise.normals_per_sample)
+        assert np.array_equal(a.standard_normal(5), b.standard_normal(5))

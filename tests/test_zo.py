@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from lqgames import certify, zo
-from lqgames.model import (StructuredGain, benchmark_game,
-                           benchmark_initial_gain, lift_gain,
+from lqgames.model import (NoiseModel, StructuredGain, benchmark_game,
+                           benchmark_initial_gain, isotropic_noise, lift_gain,
                            scalar_demo_game, zero_gain)
-from lqgames.sim import RngStream, batch_rollout
+from lqgames.sim import RngStream, batch_rollout, mean_covariance_blocks
 
 
 def k_half():
@@ -194,3 +196,61 @@ def test_smoothed_objective_reference_matches_estimator():
                                    RngStream(3).generator())
     est = zo.zo_gradient(g, K, L, "L", 0.05, 200_000, RngStream(4).generator())
     assert abs(ref.blocks[0][0, 0] - est.blocks[0][0, 0]) <= 0.05
+
+
+def _serial_estimate_step(game, K, L, side, r, count, stream, policy):
+    """The estimation round with every draw taken from a plain generator, in turn."""
+    gate_hits = samples = 0
+    for attempt in range(2):
+        grad = zo.zo_gradient(game, K, L, side, r, count,
+                              stream.child(zo._COST, attempt).generator())
+        _, states = batch_rollout(game, K, L, count,
+                                  stream.child(zo._COV, attempt).generator(),
+                                  return_states=True)
+        samples += 2 * count
+        cov, gated = zo._apply_covariance_gate(game, mean_covariance_blocks(states), policy)
+        gate_hits += gated
+        if gated and policy == "reject-and-resample":
+            if attempt == 0:
+                continue
+            raise zo.CovarianceGateError("covariance gate failed twice")
+        return zo.natural_step(grad, cov).scale(0.5), gate_hits, samples
+
+
+def _tiny_bound_game():
+    """Truncated-Gaussian noise whose bound rejects about half the draws."""
+    g = benchmark_game()
+    blocks = np.broadcast_to(0.05 * np.eye(g.m), (g.horizon + 1, g.m, g.m))
+    noise = NoiseModel(kind="truncated-gaussian", covariance_blocks=blocks,
+                       bound=float(np.sqrt(0.05 * 2.4)))
+    return dataclasses.replace(g, noise=noise)
+
+
+@pytest.mark.parametrize("case", ["tiny-bound", "scaled-uniform", "count-1", "resample"])
+@pytest.mark.parametrize("side", ["K", "L"])
+def test_estimate_step_matches_serial_draws(case, side):
+    # the gradient stream's normals are drawn ahead on a helper thread; the
+    # step, gate hits and sample counts stay bitwise those of serial draws
+    g, count, stream, policy = benchmark_game(), 300, RngStream(12, (0, 3)), "regularize"
+    expect_hits = 0
+    if case == "tiny-bound":
+        g = _tiny_bound_game()
+        # rejection redraws run, so the gradient rollout reads past the buffer
+        a, b = RngStream(1).generator(), RngStream(1).generator()
+        g.noise.sample(count, a)
+        b.standard_normal(count * g.noise.normals_per_sample)
+        assert not np.array_equal(a.standard_normal(5), b.standard_normal(5))
+        expect_hits = 1  # truncation shrinks the covariance below phi/2
+    elif case == "scaled-uniform":
+        g = dataclasses.replace(g, noise=isotropic_noise(g.m, g.horizon, kind="scaled-uniform"))
+    elif case == "count-1":
+        count, expect_hits = 1, 1  # rank-one covariance: the gate regularizes
+    else:
+        # the first attempt's covariance fails the gate, the second passes
+        count, stream, policy, expect_hits = 20, RngStream(12, (0, 1)), "reject-and-resample", 1
+    K, L = benchmark_initial_gain(), lift_gain([0.1 * np.ones((g.n, g.m))] * g.horizon, side="L")
+    step, hits, samples = zo._estimate_step(g, K, L, side, 0.2, count, stream, policy)
+    ref, ref_hits, ref_samples = _serial_estimate_step(g, K, L, side, 0.2, count, stream, policy)
+    assert np.array_equal(step.blocks, ref.blocks)
+    assert (hits, samples) == (ref_hits, ref_samples)
+    assert hits == expect_hits
