@@ -7,8 +7,8 @@ verification of the underlying structural identities.
 
 from .certify import (BestResponse, NashInfeasibleError, NashSolution,
                       ValueCertificate, best_response_L, certificate,
-                      in_feasible_set, in_Khat_set, natural_gradients,
-                      objective, primal_value, solve_nash)
+                      feasible_best_response, in_Khat_set, khat_bound,
+                      natural_gradients, objective, primal_value, solve_nash)
 from .exact import DivergenceError, ExactSolverConfig, inner_npg_exact, outer_npg_exact
 from .model import (LqGame, ModelError, NoiseModel, StructuredGain,
                     benchmark_game, benchmark_initial_gain, deterministic_noise,
@@ -31,7 +31,7 @@ __all__ = [
     "benchmark_game", "benchmark_initial_gain", "best_response_L",
     "brute_force_value_oracle", "certificate", "check_descent",
     "check_gradient_domination", "deterministic_noise",
-    "finite_diff_gradient", "in_Khat_set", "in_feasible_set",
+    "feasible_best_response", "finite_diff_gradient", "in_Khat_set", "khat_bound",
     "inner_npg_exact", "inner_zo_oracle", "isotropic_noise", "lift_gain",
     "load_game", "monte_carlo_objective", "natural_gradients", "objective",
     "outer_npg_exact", "outer_zo_npg", "primal_value", "resolve_game",

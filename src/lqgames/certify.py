@@ -226,12 +226,17 @@ def best_response_L(game: LqGame, K: StructuredGain) -> BestResponse:
     )
 
 
-def primal_value(game: LqGame, K: StructuredGain) -> float:
-    """G(K, L(K)): the objective after exact inner maximization."""
+def feasible_best_response(game: LqGame, K: StructuredGain) -> BestResponse:
+    """``best_response_L``, raising NashInfeasibleError when K is infeasible."""
     br = best_response_L(game, K)
     if not br.feasible:
         raise NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0)
-    return expected_cost(game, br.P_blocks)
+    return br
+
+
+def primal_value(game: LqGame, K: StructuredGain) -> float:
+    """G(K, L(K)): the objective after exact inner maximization."""
+    return expected_cost(game, feasible_best_response(game, K).P_blocks)
 
 
 @dataclass(frozen=True)
@@ -300,55 +305,6 @@ def solve_nash(game: LqGame) -> NashSolution:
     return NashSolution(P, Kstar, Lstar, value, float(margin))
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    member: bool
-    value_psd: bool
-    margin_pd: bool
-    lambda_min_P: float
-    lambda_min_H: float
-    violating_stage: int | None = None
-
-
-def in_feasible_set(game: LqGame, K: StructuredGain) -> FeasibilityReport:
-    """Membership in the admissible set: P_{K,L(K)} PSD and Rw - D'PD PD."""
-    br = best_response_L(game, K)
-    wP = br.P_eigvals
-    lamH = br.min_margin
-    lamP = float(wP[:, 0].min())
-    margin_pd = lamH > PD_TOL * (1.0 + float(np.abs(br.H_eigvals).max()))
-    value_psd = lamP >= -PSD_TOL * (1.0 + float(np.abs(wP).max()))
-    stage = br.violating_stage if not (margin_pd and value_psd) else None
-    return FeasibilityReport(
-        member=bool(margin_pd and value_psd),
-        value_psd=bool(value_psd),
-        margin_pd=bool(margin_pd),
-        lambda_min_P=lamP,
-        lambda_min_H=lamH,
-        violating_stage=stage,
-    )
-
-
-@dataclass(frozen=True)
-class KhatReport:
-    member: bool
-    slack: float
-    lambda_min_P: float
-
-
-def anchor_certificate(game: LqGame, K0: StructuredGain) -> BestResponse:
-    """Best-response certificate of the starting gain, reused for set tests."""
-    br = best_response_L(game, K0)
-    if not br.feasible:
-        raise NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0)
-    return br
-
-
-def in_Khat_set(game: LqGame, K: StructuredGain, K0_certificate: BestResponse) -> KhatReport:
-    """Membership of K in the anchored sublevel set around a feasible start."""
-    return khat_report(best_response_L(game, K), khat_bound(game, K0_certificate))
-
-
 def khat_bound(game: LqGame, K0_certificate: BestResponse) -> np.ndarray:
     """Upper blocks P_0 + lambda_min(H_0) / (2 |D|^2) * I of the anchored set.
 
@@ -359,16 +315,14 @@ def khat_bound(game: LqGame, K0_certificate: BestResponse) -> np.ndarray:
     return K0_certificate.P_blocks + shift * np.eye(game.m)
 
 
-def khat_report(br: BestResponse, bound_blocks: np.ndarray) -> KhatReport:
-    """Anchored-set test on the best-response certificate ``br`` of a gain.
+def in_Khat_set(br: BestResponse, bound_blocks: np.ndarray) -> bool:
+    """Whether the gain certified by ``br`` lies in the anchored sublevel set.
 
-    Tests 0 <= P_{K,L(K)} <= ``bound_blocks`` (from ``khat_bound``) blockwise
-    by eigenvalue decomposition of the differences.
+    Tests P_{K,L(K)} <= ``bound_blocks`` (from ``khat_bound``) blockwise by
+    eigenvalue decomposition of the differences.  A feasible ``br`` already
+    certifies P_{K,L(K)} >= 0, and an infeasible one is outside the set.
     """
     if not br.feasible:
-        return KhatReport(member=False, slack=-np.inf, lambda_min_P=br.lam_min or -np.inf)
-    slack = float(np.linalg.eigvalsh(_sym(bound_blocks - br.P_blocks))[:, 0].min())
-    lamP = float(br.P_eigvals[:, 0].min())
-    tol = -PSD_TOL * (1.0 + float(np.abs(br.P_eigvals).max()))
-    member = slack >= tol and lamP >= tol
-    return KhatReport(member=bool(member), slack=slack, lambda_min_P=lamP)
+        return False
+    slack = np.linalg.eigvalsh(_sym(bound_blocks - br.P_blocks))[:, 0].min()
+    return bool(slack >= -PSD_TOL * (1.0 + np.abs(br.P_eigvals).max()))

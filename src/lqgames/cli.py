@@ -5,12 +5,14 @@ can override seeds and the output directory.  Exit codes, each failure
 with a one-line message on stderr:
 
 - 0 success;
-- 1 configuration or parse error;
+- 1 command-line, configuration or parse error;
 - 2 infeasible instance;
-- 3 divergence (the partial trace is kept);
+- 3 divergence;
 - 4 verification failure;
 - 5 covariance gate failed twice under ``gate_policy: reject-and-resample``;
 - 6 gap-mode inner loop reached ``inner_cap`` before ``eps1``.
+
+Exits 3, 5 and 6 keep the partial trace of the seed that stopped.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import certify, verify
-from .exact import DivergenceError, ExactSolverConfig, InnerLoopError, outer_npg_exact
+from .exact import (DivergenceError, ExactSolverConfig, InnerLoopError, SolverStop,
+                    outer_npg_exact)
 from .model import (LqGame, ModelError, StructuredGain, benchmark_initial_gain,
                     lift_gain, resolve_game, zero_gain)
 from .trace import RunTrace, fmt
@@ -42,9 +45,21 @@ EXIT_INNER_LOOP = 6
 
 _MODES = ("nash", "exact-npg", "zo-npg", "verify")
 
+# exit code and stderr prefix of each way a run stops early
+_STOPS = {DivergenceError: (EXIT_DIVERGENCE, "divergence"),
+          CovarianceGateError: (EXIT_COVARIANCE_GATE, "stopped"),
+          InnerLoopError: (EXIT_INNER_LOOP, "stopped")}
+
 
 class ConfigError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it ends in one line and exit 1."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +79,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        for name, kind, what in (("game", str, "a builtin name or a file path"),
+                                 ("out", str, "a directory path"),
+                                 ("solver", dict, "a JSON object"), ("zo", dict, "a JSON object")):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+        for name in ("verify_seed", "verify_instances"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
         seeds = self.seeds
         if (not isinstance(seeds, tuple) or not seeds
                 or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds)):
@@ -81,6 +106,8 @@ def load_config(path: str | None) -> ExperimentConfig:
         doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be a JSON object, got {doc!r}")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     extra = set(doc) - known
     if extra:
@@ -114,33 +141,13 @@ def _resolve_initial_gain(config: ExperimentConfig, game: LqGame) -> StructuredG
     return K0
 
 
-def _solver_config(config: ExperimentConfig) -> ExactSolverConfig:
-    try:
-        return ExactSolverConfig(**config.solver)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad solver parameters: {exc}") from exc
-
-
-def _zo_config(config: ExperimentConfig, seed: int) -> ZoConfig:
-    doc = dict(config.zo)
-    doc["seed"] = seed
-    try:
-        return ZoConfig(**doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad zo parameters: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 def cmd_nash(config: ExperimentConfig, out: Path, dump_certificate: bool) -> int:
     game = resolve_game(config.game)
-    try:
-        sol = certify.solve_nash(game)
-    except certify.NashInfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    sol = certify.solve_nash(game)
     print(f"value={sol.value:.4f} margin={sol.margin:.4f}")
     out.mkdir(parents=True, exist_ok=True)
     (out / "nash.json").write_text(json.dumps(sol.to_dict(), sort_keys=True) + "\n")
@@ -170,39 +177,31 @@ def _write_summary(out: Path, traces: dict[int, RunTrace], total_trajectories: i
 def cmd_run(config: ExperimentConfig, out: Path, timings: bool) -> int:
     if config.mode not in ("exact-npg", "zo-npg"):
         raise ConfigError(f"run requires mode exact-npg or zo-npg, got {config.mode!r}")
+    section, solver = (("solver", ExactSolverConfig) if config.mode == "exact-npg"
+                       else ("zo", ZoConfig))
+    try:
+        params = solver(**getattr(config, section))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {section} parameters: {exc}") from exc
     game = resolve_game(config.game)
     K0 = _resolve_initial_gain(config, game)
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        nash_value = certify.solve_nash(game).value
-    except certify.NashInfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    nash_value = certify.solve_nash(game).value
     traces: dict[int, RunTrace] = {}
     total_traj = 0
     for seed in config.seeds:
         csv_path = out / f"trace_seed{seed}.csv"
         try:
             if config.mode == "exact-npg":
-                _, trace = outer_npg_exact(game, K0, _solver_config(config),
-                                           nash_value=nash_value)
+                _, trace = outer_npg_exact(game, K0, params, nash_value=nash_value)
             else:
-                _, trace = outer_zo_npg(game, K0, _zo_config(config, seed),
+                _, trace = outer_zo_npg(game, K0, dataclasses.replace(params, seed=seed),
                                         nash_value=nash_value)
-        except certify.NashInfeasibleError as exc:
-            print(f"infeasible: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        except DivergenceError as exc:
+        except SolverStop as exc:
             exc.trace.write_csv(csv_path, include_timings=timings)
-            print(f"divergence (seed {seed}): {exc}; partial trace at {csv_path}",
-                  file=sys.stderr)
-            return EXIT_DIVERGENCE
-        except CovarianceGateError as exc:
-            print(f"stopped (seed {seed}): {exc}", file=sys.stderr)
-            return EXIT_COVARIANCE_GATE
-        except InnerLoopError as exc:
-            print(f"stopped (seed {seed}): {exc}", file=sys.stderr)
-            return EXIT_INNER_LOOP
+            code, what = _STOPS[type(exc)]
+            print(f"{what} (seed {seed}): {exc}; partial trace at {csv_path}", file=sys.stderr)
+            return code
         trace.write_csv(csv_path, include_timings=timings)
         traces[seed] = trace
         if trace.rows and trace.rows[-1].samples_used_inner is not None:
@@ -231,41 +230,44 @@ def cmd_verify(config: ExperimentConfig, out: Path, full: bool) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lqgames",
         description="Finite-horizon zero-sum LQ games: Nash solve, policy "
                     "gradient runs, and verification.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("nash", "run", "verify"):
-        p = sub.add_parser(name)
+    commands = {name: sub.add_parser(name) for name in ("nash", "run", "verify")}
+    for p in commands.values():
         p.add_argument("--config", default=None, help="JSON experiment config")
-        p.add_argument("--seed", type=int, action="append", default=None,
-                       help="seed override (repeatable)")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument("--dump-certificate", action="store_true",
-                       help="also write the full value certificate")
-        p.add_argument("--timings", action="store_true",
-                       help="include wall-clock timings in CSV artifacts")
-        p.add_argument("--full", action="store_true",
-                       help="enlarge the verification workload")
+    commands["nash"].add_argument("--dump-certificate", action="store_true",
+                                  help="also write the full value certificate")
+    commands["run"].add_argument("--seed", type=int, action="append", default=None,
+                                 help="seed override (repeatable)")
+    commands["run"].add_argument("--timings", action="store_true",
+                                 help="include wall-clock timings in CSV artifacts")
+    commands["verify"].add_argument("--full", action="store_true",
+                                    help="enlarge the verification workload")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config)
-        if args.seed:
-            config = dataclasses.replace(config, seeds=tuple(args.seed))
         out = Path(args.out) if args.out else Path(config.out)
         if args.command == "nash":
             return cmd_nash(config, out, args.dump_certificate)
         if args.command == "run":
+            if args.seed:
+                config = dataclasses.replace(config, seeds=tuple(args.seed))
             return cmd_run(config, out, args.timings)
         return cmd_verify(config, out, args.full)
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except certify.NashInfeasibleError as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
 
 
 if __name__ == "__main__":

@@ -24,18 +24,19 @@ from .trace import RunTrace, TraceRow
 DIVERGENCE_FACTOR = 10.0
 
 
-class DivergenceError(RuntimeError):
-    """Objective blew past the divergence guard; carries the partial trace."""
+class SolverStop(RuntimeError):
+    """A run stopped early; ``_outer_descent`` attaches its partial ``trace``."""
 
-    def __init__(self, message: str, trace: RunTrace):
-        super().__init__(message)
-        self.trace = trace
+    trace: RunTrace | None = None
 
 
-class InnerLoopError(RuntimeError):
-    def __init__(self, message: str, gaps: list[float]):
-        super().__init__(message)
-        self.gaps = gaps
+class DivergenceError(SolverStop):
+    """An iterate or estimate left the feasible set, turned non-finite or blew
+    past the divergence guard."""
+
+
+class InnerLoopError(SolverStop):
+    """A gap-mode inner loop reached ``inner_cap`` before ``eps1``."""
 
 
 def _is_finite_real(value) -> bool:
@@ -82,31 +83,28 @@ def inner_npg_exact(game: LqGame, K: StructuredGain, L0: StructuredGain,
 
     ``P`` holds the value blocks of the returned L, already computed for its
     gap.  In gap mode the loop stops once the suboptimality against the exact
-    best response ``br`` (computed here when not given) drops below ``eps1``.
+    best response ``br`` drops below ``eps1``.  ``br`` must be feasible; when
+    not given it is computed here, raising NashInfeasibleError for an
+    infeasible K.
     """
     if br is None:
-        br = certify.best_response_L(game, K)
-    if not br.feasible:
-        raise certify.NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0)
+        br = certify.feasible_best_response(game, K)
     opt_val = certify.expected_cost(game, br.P_blocks)
+    gap_mode = config.inner_mode == "gap"
+    limit = config.T_in if config.inner_mode == "fixed" else config.inner_cap
     L = L0
     gaps: list[float] = []
-    limit = config.T_in if config.inner_mode == "fixed" else config.inner_cap
-    for k in range(limit):
+    for k in range(limit + 1):
         P = certify.value_blocks(game, K, L)
-        gap = opt_val - certify.expected_cost(game, P)
-        gaps.append(gap)
-        if config.inner_mode == "gap" and gap <= config.eps1:
-            return L, gaps, P
+        gaps.append(opt_val - certify.expected_cost(game, P))
+        if k == limit or (gap_mode and gaps[-1] <= config.eps1):
+            break
         _, E = certify.natural_gradients(game, K, L, P)
         L = L + E.scale(config.tau1)
-    P = certify.value_blocks(game, K, L)
-    gap = opt_val - certify.expected_cost(game, P)
-    gaps.append(gap)
-    if config.inner_mode == "gap" and gap > config.eps1:
+    if gap_mode and gaps[-1] > config.eps1:
         raise InnerLoopError(
-            f"inner loop failed to reach gap {config.eps1:g} in {config.inner_cap} iterations "
-            f"(last gap {gap:g})", gaps)
+            f"inner loop failed to reach gap {config.eps1:g} in {limit} iterations "
+            f"(last gap {gaps[-1]:g})")
     return L, gaps, P
 
 
@@ -128,46 +126,51 @@ def _outer_descent(game: LqGame, K0: StructuredGain, step_oracle: StepOracle,
     feasibility and divergence guards, the primal gap, lambda_min(H) and the
     anchored-set test all read it.  ``batch`` gives the (M1, M2) sample
     batches of a stochastic oracle, whose trace accumulates its sample and
-    gate counts; it is None for an exact oracle.
+    gate counts; it is None for an exact oracle.  A SolverStop raised here or
+    by the oracle leaves with the rows recorded so far as its ``trace``.
     """
     cause = f"stepsize tau2={tau2:g} too large"
     if batch is not None:
         cause += f" or sample batches M1={batch[0]}, M2={batch[1]} too small"
     if nash_value is None:
         nash_value = certify.solve_nash(game).value
-    khat_bound = certify.khat_bound(game, certify.anchor_certificate(game, K0))
+    khat_bound = certify.khat_bound(game, certify.feasible_best_response(game, K0))
     K = K0
     trace = RunTrace(stochastic=batch is not None)
     initial_obj: float | None = None
     totals = (0, 0, 0)
     t0 = time.perf_counter()
-    for t in range(T):
-        br = certify.best_response_L(game, K)
-        if not br.feasible:
-            what = ("is not finite" if math.isnan(br.lam_min)
-                    else f"left the feasible set (lambda_min={br.lam_min:g})")
-            raise DivergenceError(
-                f"iterate {t} {what} at stage {br.violating_stage}; likely cause: {cause}", trace)
-        primal = certify.expected_cost(game, br.P_blocks)
-        if initial_obj is None:
-            initial_obj = primal
-        if primal > DIVERGENCE_FACTOR * initial_obj:
-            raise DivergenceError(
-                f"objective {primal:g} exceeded {DIVERGENCE_FACTOR:g}x its initial value; "
-                f"likely cause: {cause}", trace)
-        step, counts = step_oracle(t, K, br)
-        gap = primal - nash_value
-        row = TraceRow(
-            t=t, objective_gap=gap, frob_F=step.frobenius_norm(), lambda_min_H=br.min_margin,
-            in_Khat=certify.khat_report(br, khat_bound).member,
-            wallclock_ms=(time.perf_counter() - t0) * 1e3)
-        if batch is not None:
-            totals = tuple(a + b for a, b in zip(totals, counts))
-            row.samples_used_inner, row.samples_used_outer, row.covariance_gate_hits = totals
-        trace.append(row)
-        if stop_gap is not None and gap <= stop_gap:
-            return K, trace
-        K = K - step.scale(tau2)
+    try:
+        for t in range(T):
+            br = certify.best_response_L(game, K)
+            if not br.feasible:
+                what = ("is not finite" if math.isnan(br.lam_min)
+                        else f"left the feasible set (lambda_min={br.lam_min:g})")
+                raise DivergenceError(
+                    f"iterate {t} {what} at stage {br.violating_stage}; likely cause: {cause}")
+            primal = certify.expected_cost(game, br.P_blocks)
+            if initial_obj is None:
+                initial_obj = primal
+            if primal > DIVERGENCE_FACTOR * initial_obj:
+                raise DivergenceError(
+                    f"objective {primal:g} exceeded {DIVERGENCE_FACTOR:g}x its initial value; "
+                    f"likely cause: {cause}")
+            step, counts = step_oracle(t, K, br)
+            gap = primal - nash_value
+            row = TraceRow(
+                t=t, objective_gap=gap, frob_F=step.frobenius_norm(), lambda_min_H=br.min_margin,
+                in_Khat=certify.in_Khat_set(br, khat_bound),
+                wallclock_ms=(time.perf_counter() - t0) * 1e3)
+            if batch is not None:
+                totals = tuple(a + b for a, b in zip(totals, counts))
+                row.samples_used_inner, row.samples_used_outer, row.covariance_gate_hits = totals
+            trace.append(row)
+            if stop_gap is not None and gap <= stop_gap:
+                return K, trace
+            K = K - step.scale(tau2)
+    except SolverStop as exc:
+        exc.trace = trace
+        raise
     return K, trace
 
 

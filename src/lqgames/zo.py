@@ -3,8 +3,8 @@
 Gradient estimates use one fresh perturbed-cost trajectory per sample plus
 an independent unperturbed trajectory for the covariance estimate, then
 precondition by the estimated covariance to form a natural gradient step.
-The model is touched only for diagnostics (gap logging and feasibility
-reports); the updates themselves are purely simulation-driven.
+The updates are purely simulation-driven; only the shared outer driver reads
+the model, for the trace's gap, margin and anchored-set columns.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Literal
 import numpy as np
 
 from . import certify
-from .exact import _check_numbers, _outer_descent
+from .exact import DivergenceError, SolverStop, _check_numbers, _outer_descent
 from .model import LqGame, StructuredGain, zero_gain
 from .sim import PrefetchedNormals, RngStream, batch_rollout, mean_covariance_blocks
 from .trace import RunTrace
@@ -25,7 +25,7 @@ from .trace import RunTrace
 _COST, _COV = 0, 1
 
 
-class CovarianceGateError(RuntimeError):
+class CovarianceGateError(SolverStop):
     """Estimated covariance failed the invertibility gate twice."""
 
 
@@ -48,6 +48,9 @@ class ZoConfig:
                        counts={"M1": self.M1, "M2": self.M2, "T_in": self.T_in, "T": self.T})
         if self.gate_policy not in ("regularize", "reject-and-resample"):
             raise ValueError(f"unknown gate policy {self.gate_policy!r}")
+        for name, r in (("r1", self.r1), ("r2", self.r2)):
+            if r * r == 0.0:  # the estimator divides by r^2
+                raise ValueError(f"{name} is too small to square, got {r!r}")
 
 
 def gain_dims(game: LqGame, side: Literal["K", "L"]) -> tuple[int, int, int]:
@@ -139,6 +142,9 @@ def _estimate_step(game: LqGame, K: StructuredGain, L: StructuredGain,
             del states  # freed before the gradient rollout allocates its own
         finally:
             helper.join()
+        if not np.isfinite(cov).all():
+            raise DivergenceError(f"the covariance estimate for a step on {side} is not finite; "
+                                  "likely cause: the inner ascent on L diverged")
         grad = zo_gradient(game, K, L, side, r, count, PrefetchedNormals(cost_rng, normals))
         samples += 2 * count
         cov, gated = _apply_covariance_gate(game, cov, policy)
@@ -157,31 +163,21 @@ def _estimate_step(game: LqGame, K: StructuredGain, L: StructuredGain,
 
 
 def inner_zo_oracle(game: LqGame, K: StructuredGain, L0: StructuredGain,
-                    config: ZoConfig, stream: RngStream,
-                    diagnostics: bool = False) -> tuple[StructuredGain, list[float], int, int]:
+                    config: ZoConfig, stream: RngStream) -> tuple[StructuredGain, int, int]:
     """Model-free inner maximization: T_in preconditioned ascent steps on L.
 
-    Returns (L, gap trace, samples used, gate hits).  The gap trace is
-    model-based and purely diagnostic; it never feeds the update.
+    Returns (L, samples used, gate hits).
     """
     L = L0
-    gap_trace: list[float] = []
     samples = 0
     gate_hits = 0
-    opt_val = None
-    if diagnostics:
-        opt_val = certify.primal_value(game, K)
     for k in range(config.T_in):
-        if diagnostics:
-            gap_trace.append(opt_val - certify.objective(game, K, L))
         step, hits, used = _estimate_step(
             game, K, L, "L", config.r1, config.M1, stream.child(k), config.gate_policy)
         gate_hits += hits
         samples += used
         L = L + step.scale(config.tau1)
-    if diagnostics:
-        gap_trace.append(opt_val - certify.objective(game, K, L))
-    return L, gap_trace, samples, gate_hits
+    return L, samples, gate_hits
 
 
 def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig,
@@ -196,7 +192,7 @@ def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig,
     root = RngStream(config.seed)
 
     def zo_step(t, K, br):
-        L_t, _, inner_used, inner_hits = inner_zo_oracle(
+        L_t, inner_used, inner_hits = inner_zo_oracle(
             game, K, zero_gain(game, "L"), config, root.child(0, t))
         step, outer_hits, outer_used = _estimate_step(
             game, K, L_t, "K", config.r2, config.M2, root.child(1, t), config.gate_policy)

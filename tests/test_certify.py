@@ -110,8 +110,9 @@ def test_infeasible_reported_without_exception():
     br = certify.best_response_L(g, k_half())
     assert not br.feasible
     assert br.violating_stage == 0
-    rep = certify.in_feasible_set(g, k_half())
-    assert not rep.member and not rep.margin_pd
+    assert br.lam_min == br.min_margin < 0  # the margin block, not the value, fails
+    with pytest.raises(certify.NashInfeasibleError):
+        certify.feasible_best_response(g, k_half())
     with pytest.raises(certify.NashInfeasibleError):
         certify.primal_value(g, k_half())
 
@@ -168,13 +169,15 @@ def test_lqr_reduction():
 
 def test_khat_set_membership(bench):
     K0 = benchmark_initial_gain()
-    anchor = certify.anchor_certificate(bench, K0)
-    assert certify.in_Khat_set(bench, K0, anchor).member
-    sol = certify.solve_nash(bench)
-    assert certify.in_Khat_set(bench, sol.Kstar, anchor).member
+    bound = certify.khat_bound(bench, certify.feasible_best_response(bench, K0))
+
+    def member(K):
+        return certify.in_Khat_set(certify.best_response_L(bench, K), bound)
+
+    assert member(K0)
+    assert member(certify.solve_nash(bench).Kstar)
     # inflate K far beyond the anchored sublevel bound
-    far = K0.scale(6.0)
-    assert not certify.in_Khat_set(bench, far, anchor).member
+    assert not member(K0.scale(6.0))
 
 
 def test_certificate_consistency(bench):
@@ -314,4 +317,5 @@ def test_best_response_nonfinite_gain_is_infeasible(bench, value):
         br = certify.best_response_L(bench, StructuredGain("K", blocks))
         assert not br.feasible
         assert np.isnan(br.lam_min)
-        assert not certify.in_feasible_set(bench, StructuredGain("K", blocks)).member
+        anchor = certify.best_response_L(bench, benchmark_initial_gain())
+        assert not certify.in_Khat_set(br, certify.khat_bound(bench, anchor))

@@ -1,7 +1,12 @@
+import dataclasses
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lqgames import cli
 from lqgames.model import (LqGame, benchmark_game, game_to_dict, isotropic_noise,
@@ -125,16 +130,96 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     assert cli.main(["nash", "--config", cfg]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert "config error" in err
-    # malformed seeds and initial gains: one line each, no traceback
+    # malformed documents, seeds, sections and initial gains: one line each,
+    # no traceback
+    base = {"mode": "exact-npg", "out": str(tmp_path / "o"), "solver": {"T": 2}}
     for doc in ({"seeds": 5}, {"seeds": ["a"]}, {"seeds": []}, {"seeds": [True]},
                 {"seeds": [-1]}, {"initial_gain": [[[1, 2]]]},
-                {"initial_gain": [[[1.0, 2.0, 3.0]]] * 4}, {"initial_gain": "bogus"}):
-        cfg = write_config(tmp_path, mode="exact-npg", out=str(tmp_path / "o"),
-                           solver={"T": 2}, **doc)
-        assert cli.main(["run", "--config", cfg]) == cli.EXIT_CONFIG, doc
+                {"initial_gain": [[[1.0, 2.0, 3.0]]] * 4}, {"initial_gain": "bogus"},
+                {"mode": "zo-npg", "zo": "x"}, {"mode": "zo-npg", "zo": 5}, {"solver": "x"},
+                {"game": 5}, {"game": None}, {"out": 5}, 5, None):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**base, **doc} if isinstance(doc, dict) else doc))
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG, doc
         err = capsys.readouterr().err
         assert err.startswith("config error") and err.count("\n") == 1, (doc, err)
     assert not (tmp_path / "o").exists()
+
+
+# values of the wrong type or far out of range, for any config field
+_JUNK = st.sampled_from([None, True, -1, 0, 0.5, 1e-300, 1e300, float("nan"), float("inf"),
+                         "x", [], [1], {}, {"a": 1}])
+
+# valid run documents whose sizes keep a run to milliseconds
+_VALID_RUN_DOCS = st.fixed_dictionaries({
+    "mode": st.sampled_from(["exact-npg", "zo-npg"]),
+    "game": st.sampled_from(["benchmark", "scalar_demo"]),
+    "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=2),
+    "solver": st.fixed_dictionaries({
+        "T": st.integers(1, 3), "T_in": st.integers(1, 2), "inner_cap": st.integers(1, 3),
+        "inner_mode": st.sampled_from(["fixed", "gap", "exact"]),
+        "tau1": st.sampled_from([0.1, 1e3, 1e300]), "tau2": st.sampled_from([4.67e-4, 1e300]),
+        "eps1": st.sampled_from([1e-6, 1e-300]), "stop_gap": st.sampled_from([None, 1.0])}),
+    "zo": st.fixed_dictionaries({
+        "T": st.integers(1, 3), "T_in": st.integers(1, 2),
+        "M1": st.integers(1, 50), "M2": st.integers(1, 50),
+        "r1": st.sampled_from([2.0, 1e-300, 1e300]), "r2": st.sampled_from([0.18, 1e-300, 1e300]),
+        "tau1": st.sampled_from([0.04, 1e300]), "tau2": st.sampled_from([4.67e-4, 1e300]),
+        "gate_policy": st.sampled_from(["regularize", "reject-and-resample"])}),
+}, optional={"initial_gain": st.sampled_from(["zero", "benchmark", [[[0.8]]]])})
+
+# (section or None, key) of every field a corruption may replace with junk
+_FIELDS = [(None, f.name) for f in dataclasses.fields(cli.ExperimentConfig)] + [
+    (None, "bogus"), ("solver", "bogus"), ("zo", "bogus")] + [
+    ("solver", k) for k in ("T", "T_in", "inner_cap", "inner_mode", "tau1", "tau2", "eps1",
+                            "stop_gap")] + [
+    ("zo", k) for k in ("T", "T_in", "M1", "M2", "r1", "r2", "tau1", "tau2", "gate_policy",
+                        "seed")]
+
+
+def _corrupt(doc: dict, edits: list) -> dict:
+    for (section, key), value in edits:
+        owner = doc if section is None else doc[section]
+        if isinstance(owner, dict):
+            owner[key] = value
+    return doc
+
+
+_RUN_DOCS = st.one_of(_JUNK, st.builds(
+    _corrupt, _VALID_RUN_DOCS,
+    st.lists(st.tuples(st.sampled_from(_FIELDS), _JUNK), max_size=2)))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_RUN_DOCS)
+def test_fuzzed_run_config_ends_in_documented_code(capsys, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        rc = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "o")])
+    err = capsys.readouterr().err
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE, cli.EXIT_DIVERGENCE,
+                  cli.EXIT_COVARIANCE_GATE, cli.EXIT_INNER_LOOP), (doc, rc)
+    assert err.count("\n") == (rc != cli.EXIT_OK), (doc, err)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["run", "--bogus"], ["run", "--seed", "x"], ["run", "--full"],
+    ["run", "--dump-certificate"], ["nash", "--full", "--timings"], ["nash", "--seed", "1"],
+    ["verify", "--timings"], ["verify", "--dump-certificate"], ["verify", "--seed", "1"],
+])
+def test_usage_error_is_config_error(capsys, argv):
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: lqgames") and err.count("\n") == 1, err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["run", "-h"])
+    assert exc.value.code == 0
+    assert "--timings" in capsys.readouterr().out
 
 
 def test_nash_nonfinite_game_is_config_error(tmp_path, capsys):
@@ -179,6 +264,7 @@ def test_run_solver_stop_exit_codes(tmp_path, capsys, mode, section, params, cod
     err = capsys.readouterr().err
     assert err.startswith("stopped (seed 0): ") and err.count("\n") == 1, err
     assert message in err
+    assert (tmp_path / "o" / "trace_seed0.csv").exists()  # partial trace kept
 
 
 @pytest.mark.parametrize("mode, section, bad", [

@@ -73,5 +73,7 @@ def test_traced_layers_run_on_calling_thread(tmp_path, monkeypatch):
             "model.noise_sample", "certify.best_response_L", "trace.write_csv"} <= called
     # 2 outer iterations x (2 inner + 1 outer) steps x 2 rollouts
     assert sum(name == "sim.batch_rollout" for name, _ in calls) == 12
+    # the trace's anchored-set column: one test per outer iterate
+    assert sum(name == "certify.in_Khat_set" for name, _ in calls) == 2
     main = threading.get_ident()
     assert [c for c in calls if c[1] != main] == []
