@@ -23,19 +23,24 @@ PD_TOL = 1e-10
 
 
 class NashInfeasibleError(RuntimeError):
-    """The instance violates the saddle-point existence condition.
+    """The instance, or the named ``gain``, violates the saddle-point existence condition.
 
-    A non-positive disturbance margin at some stage means the upper value of
-    the game is unbounded: the maximizer can profit without limit.
+    A non-positive disturbance margin at some stage means the maximizer can
+    profit without limit: against every gain (the upper value of the game is
+    unbounded) or against the given one (the gain is infeasible).
     """
 
-    def __init__(self, stage: int, lam_min: float):
+    def __init__(self, stage: int, lam_min: float, gain: str | None = None):
         self.stage = stage
         self.lam_min = lam_min
-        super().__init__(
-            f"existence condition fails at stage {stage}: "
-            f"lambda_min(Rw - D'P*D) = {lam_min:.6e} <= 0; "
-            "the upper value of the game is unbounded")
+        condition = f"lambda_min(Rw - D'P*D) = {lam_min:.6e} <= 0"
+        if gain is None:
+            message = (f"existence condition fails at stage {stage}: {condition}; "
+                       "the upper value of the game is unbounded")
+        else:
+            message = (f"{gain} is infeasible at stage {stage}: {condition}; "
+                       "the maximizer's payoff against it is unbounded")
+        super().__init__(message)
 
 
 def _T(a: np.ndarray) -> np.ndarray:
@@ -226,11 +231,12 @@ def best_response_L(game: LqGame, K: StructuredGain) -> BestResponse:
     )
 
 
-def feasible_best_response(game: LqGame, K: StructuredGain) -> BestResponse:
-    """``best_response_L``, raising NashInfeasibleError when K is infeasible."""
+def feasible_best_response(game: LqGame, K: StructuredGain,
+                           name: str = "the gain K") -> BestResponse:
+    """``best_response_L``, raising NashInfeasibleError naming K when K is infeasible."""
     br = best_response_L(game, K)
     if not br.feasible:
-        raise NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0)
+        raise NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0, gain=name)
     return br
 
 

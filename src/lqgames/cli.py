@@ -141,6 +141,13 @@ def _resolve_initial_gain(config: ExperimentConfig, game: LqGame) -> StructuredG
     return K0
 
 
+def _make_dir(out: Path) -> None:
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a NUL byte in the path is a ValueError
+        raise ConfigError(f"cannot make output directory {str(out)!r}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -148,8 +155,8 @@ def _resolve_initial_gain(config: ExperimentConfig, game: LqGame) -> StructuredG
 def cmd_nash(config: ExperimentConfig, out: Path, dump_certificate: bool) -> int:
     game = resolve_game(config.game)
     sol = certify.solve_nash(game)
+    _make_dir(out)
     print(f"value={sol.value:.4f} margin={sol.margin:.4f}")
-    out.mkdir(parents=True, exist_ok=True)
     (out / "nash.json").write_text(json.dumps(sol.to_dict(), sort_keys=True) + "\n")
     if dump_certificate:
         cert = certify.certificate(game, sol.Kstar, sol.Lstar)
@@ -185,7 +192,7 @@ def cmd_run(config: ExperimentConfig, out: Path, timings: bool) -> int:
         raise ConfigError(f"bad {section} parameters: {exc}") from exc
     game = resolve_game(config.game)
     K0 = _resolve_initial_gain(config, game)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     nash_value = certify.solve_nash(game).value
     traces: dict[int, RunTrace] = {}
     total_traj = 0
@@ -215,7 +222,7 @@ def cmd_run(config: ExperimentConfig, out: Path, timings: bool) -> int:
 def cmd_verify(config: ExperimentConfig, out: Path, full: bool) -> int:
     instances = config.verify_instances * (5 if full else 1)
     reports = verify.run_property_suite(seed=config.verify_seed, instances=instances)
-    out.mkdir(parents=True, exist_ok=True)
+    _make_dir(out)
     report_path = out / "verify_reports.jsonl"
     verify.write_reports(reports, report_path)
     print(verify.summary_table(reports))
@@ -264,6 +271,9 @@ def main(argv=None) -> int:
         return cmd_verify(config, out, args.full)
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # an artifact that cannot be written
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except certify.NashInfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)

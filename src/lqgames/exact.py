@@ -134,7 +134,8 @@ def _outer_descent(game: LqGame, K0: StructuredGain, step_oracle: StepOracle,
         cause += f" or sample batches M1={batch[0]}, M2={batch[1]} too small"
     if nash_value is None:
         nash_value = certify.solve_nash(game).value
-    khat_bound = certify.khat_bound(game, certify.feasible_best_response(game, K0))
+    khat_bound = certify.khat_bound(
+        game, certify.feasible_best_response(game, K0, "the initial gain K0"))
     K = K0
     trace = RunTrace(stochastic=batch is not None)
     initial_obj: float | None = None

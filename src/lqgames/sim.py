@@ -37,29 +37,42 @@ class RngStream:
 
 
 class PrefetchedNormals:
-    """A generator whose next standard normals were drawn ahead into a buffer.
+    """A generator whose next standard normals were drawn ahead into buffers.
 
-    ``buffer`` must hold ``rng.standard_normal(out=buffer)``, so ``rng``
-    stands right after it.  Normals are handed out from the buffer in order,
-    then from ``rng``: any chunking gives the draws of the plain generator.
-    Any other draw must come after the buffer is used up.
+    ``buffers`` must hold ``rng.standard_normal(out=b)`` for each ``b`` in
+    turn, so ``rng`` stands right after the last one.  Normals are handed out
+    from the buffers in order, then from ``rng``: any chunking gives the draws
+    of the plain generator.  A buffer is dropped once it is used up, so its
+    memory goes as soon as nothing handed out still views it.  Any other draw
+    must come after the buffers are used up.
     """
 
-    def __init__(self, rng: np.random.Generator, buffer: np.ndarray):
+    def __init__(self, rng: np.random.Generator, buffers):
         self._rng = rng
-        self._buffer = buffer.reshape(-1)
+        self._buffers = [b.reshape(-1) for b in buffers]
         self._pos = 0
+        self._drop_used()
+
+    def _drop_used(self) -> None:
+        while self._buffers and self._pos == self._buffers[0].size:
+            del self._buffers[0]
+            self._pos = 0
 
     def standard_normal(self, size) -> np.ndarray:
         n = math.prod(size) if isinstance(size, tuple) else int(size)
-        head = self._buffer[self._pos:self._pos + n]  # a view: never handed out twice
-        self._pos += head.size
-        if head.size < n:
-            head = np.concatenate((head, self._rng.standard_normal(n - head.size)))
-        return head.reshape(size)
+        parts = []
+        while n and self._buffers:
+            head = self._buffers[0][self._pos:self._pos + n]  # a view: never handed out twice
+            self._pos += head.size
+            n -= head.size
+            parts.append(head)
+            self._drop_used()
+        if n or not parts:
+            parts.append(self._rng.standard_normal(n))
+        return (parts[0] if len(parts) == 1 else np.concatenate(parts)).reshape(size)
 
     def uniform(self, low, high, size) -> np.ndarray:
-        if self._pos < self._buffer.size:
+        if self._buffers:
             raise RuntimeError("uniform draw requested before the prefetched normals were used")
         return self._rng.uniform(low, high, size)
 
@@ -73,21 +86,19 @@ def batch_rollout(game: LqGame, K: StructuredGain, L: StructuredGain, count: int
 
     ``K_perturb`` / ``L_perturb`` optionally add a per-sample gain offset of
     shape (count, N, p, m); this is how zeroth-order perturbations enter.
-    Returns (costs, states) with states of shape (count, N+1, m) or None.
+    Returns (costs, states) with states of shape (count, N+1, m) or None;
+    the states overwrite the noise draws, each once it has been added.
 
     Each stage forms the closed loop A - B K - D L and the combined cost
     Q + K' Ru K - L' Rw L once; a perturbation du = dK x adds
     du' ((Ru + Ru') K x + Ru du) to the cost and -B du to the next state
     (dw = dL x likewise, with -Rw and D).
     """
-    N, m = game.horizon, game.m
+    N = game.horizon
     xi = game.noise.sample(count, rng)  # (count, N+1, m)
     x = xi[:, 0, :]
     costs = np.zeros(count)
-    states = np.empty((count, N + 1, m)) if return_states else None
     for h in range(N):
-        if states is not None:
-            states[:, h, :] = x
         Kh, Lh = K.blocks[h], L.blocks[h]
         Ru, Rw = game.Ru[h], game.Rw[h]
         closed = game.A[h] - game.B[h] @ Kh - game.D[h] @ Lh
@@ -102,11 +113,11 @@ def batch_rollout(game: LqGame, K: StructuredGain, L: StructuredGain, count: int
             cross = x @ ((R + R.T) @ gain).T + delta @ R.T
             costs += sign * np.einsum("cp,cp->c", delta, cross)
             x_next -= delta @ G.T
+        if return_states:
+            xi[:, h + 1, :] = x_next  # x_0 is xi[:, 0] already
         x = x_next
     costs += np.einsum("ci,ci->c", x @ game.Q[N], x)
-    if states is not None:
-        states[:, N, :] = x
-    return costs, states
+    return costs, (xi if return_states else None)
 
 
 def mean_covariance_blocks(states: np.ndarray) -> np.ndarray:

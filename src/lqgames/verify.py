@@ -16,7 +16,6 @@ from typing import Literal, Sequence
 import numpy as np
 
 from . import certify
-from .exact import ExactSolverConfig, outer_npg_exact
 from .model import LqGame, StructuredGain, isotropic_noise, scalar_demo_game, zero_gain
 
 BRUTE_FORCE_DIM_CAP = 64
@@ -174,17 +173,23 @@ def lqr_cost_oracle(game: LqGame) -> float:
 
 def check_descent(game: LqGame, K_t: StructuredGain, K_next: StructuredGain,
                   tau2: float, slack: float = 0.0, seed: int = 0,
-                  instance: str = "") -> CheckReport:
+                  instance: str = "", br: certify.BestResponse | None = None,
+                  br_next: certify.BestResponse | None = None) -> CheckReport:
     """One-step descent test for the outer update.
 
     Verifies G(K+) - G(K) <= tau2*slack - (tau2*phi/4) Tr(F'F), with F the
     natural gradient at (K_t, L(K_t)).  ``slack`` is a configured allowance
     for inexact inner solves and estimation noise, not an analytic constant.
+    ``br`` and ``br_next`` are the feasible best responses of K_t and K_next,
+    computed here when not given.
     """
     phi = game.noise.phi
-    br = certify.feasible_best_response(game, K_t)
+    if br is None:
+        br = certify.feasible_best_response(game, K_t)
+    if br_next is None:
+        br_next = certify.feasible_best_response(game, K_next)
     val_t = certify.expected_cost(game, br.P_blocks)
-    val_next = certify.primal_value(game, K_next)
+    val_next = certify.expected_cost(game, br_next.P_blocks)
     F, _ = certify.natural_gradients(game, K_t, br.L, br.P_blocks)
     lhs = val_next - val_t
     rhs = tau2 * slack - (tau2 * phi / 4.0) * F.frobenius_norm() ** 2
@@ -383,22 +388,21 @@ def run_property_suite(seed: int = 0, instances: int = 20,
         reports.append(check_gradient_domination(
             game, K, nash.value, seed=seed, instance=tag))
 
-    # descent along a short exact run on the scalar game
+    # descent along the 20 iterates of an exact run (inner_mode "exact") on
+    # the scalar game, one best response per iterate
     game = scalar_demo_game()
-    cfg = ExactSolverConfig(inner_mode="exact", T=20, tau2=0.05)
-    K0 = zero_gain(game, "K")
-    _, trace = outer_npg_exact(game, K0, cfg)
-    K_prev = K0
+    tau2 = 0.05
+    K = zero_gain(game, "K")
+    br = certify.feasible_best_response(game, K)
     worst = -np.inf
-    for t in range(1, len(trace.rows)):
-        # recompute the iterate path by replaying updates
-        br = certify.best_response_L(game, K_prev)
-        F, _ = certify.natural_gradients(game, K_prev, br.L, br.P_blocks)
-        K_next = K_prev - F.scale(cfg.tau2)
-        rep = check_descent(game, K_prev, K_next, cfg.tau2, seed=seed,
-                            instance=f"scalar-exact t={t - 1}")
+    for t in range(19):  # the steps between the 20 iterates
+        F, _ = certify.natural_gradients(game, K, br.L, br.P_blocks)
+        K_next = K - F.scale(tau2)
+        br_next = certify.feasible_best_response(game, K_next)
+        rep = check_descent(game, K, K_next, tau2, seed=seed, instance=f"scalar-exact t={t}",
+                            br=br, br_next=br_next)
         worst = max(worst, rep.margins["lhs"] - rep.margins["rhs"])
-        K_prev = K_next
+        K, br = K_next, br_next
     add("descent-along-run", "scalar-exact", worst <= 1e-12, "max_violation", worst, 1e-12)
 
     # adversarial instance: Rw too small must be reported infeasible

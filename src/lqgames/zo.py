@@ -9,6 +9,8 @@ the model, for the trace's gap, margin and anchored-set columns.
 
 from __future__ import annotations
 
+import contextlib
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Literal
@@ -114,69 +116,158 @@ def natural_step(grad: StructuredGain, cov_blocks: np.ndarray) -> StructuredGain
                                                      grad.blocks.swapaxes(1, 2)).swapaxes(1, 2))
 
 
+class _DrawAhead:
+    """One helper thread that draws gradient-stream normals ahead of the steps that read them.
+
+    A step's gradient (COST) stream depends only on its indices, never on the
+    iterate, so its leading normals can be drawn before the step runs, into
+    two buffers: the sphere directions, then the Gaussian noise.  ``steps``
+    lists a run's estimation steps in order as (stream, side, count).  Taking
+    one step's normals queues the next step's sphere directions, which the
+    helper draws while this thread runs the gradient rollout; the next step
+    queues its noise normals when it starts, once this step's buffers are
+    freed, and its covariance rollout overlaps them.  The helper starts on
+    the first request and calls only ``Generator.standard_normal(out=...)``;
+    leaving the ``with`` block joins it.
+    """
+
+    def __init__(self, game: LqGame, steps=()):
+        keys = [(stream.child(_COST, 0), side, count) for stream, side, count in steps]
+        self._game = game
+        self._next = dict(zip(keys, keys[1:]))
+        self._queued: dict = {}
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread: threading.Thread | None = None
+
+    def __enter__(self) -> "_DrawAhead":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._thread is not None:
+            self._jobs.put(None)
+            self._thread.join()
+            self._thread = None
+
+    def request(self, stream: RngStream, side: Literal["K", "L"], count: int,
+                parts: int = 2) -> None:
+        """Queue the first ``parts`` buffers of ``stream``'s leading normals, if not queued yet."""
+        key = (stream, side, count)
+        draw = self._queued.get(key)
+        if draw is None:
+            _, _, dim = gain_dims(self._game, side)
+            draw = self._queued[key] = _Draw(
+                stream.generator(), (count * dim, count * self._game.noise.normals_per_sample))
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._run, name="lqgames-draw-ahead")
+            self._thread.start()
+        while len(draw.buffers) < parts:
+            # each buffer stays under numpy's 4 MiB huge-page threshold at desk scale
+            draw.buffers.append(np.empty(draw.sizes[len(draw.buffers)]))
+            draw.done.append(threading.Event())
+            self._jobs.put((draw, draw.buffers[-1], draw.done[-1]))
+
+    def take(self, stream: RngStream, side: Literal["K", "L"], count: int) -> PrefetchedNormals:
+        """The generator of ``stream`` with its leading normals drawn; queues the next step's."""
+        key = (stream, side, count)
+        self.request(*key)
+        draw = self._queued.pop(key)
+        if key in self._next:
+            self.request(*self._next[key], parts=1)
+        for done in draw.done:
+            done.wait()
+        if draw.error is not None:
+            raise draw.error
+        return PrefetchedNormals(draw.rng, draw.buffers)
+
+    def _run(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            draw, buffer, done = job
+            try:
+                draw.rng.standard_normal(out=buffer)
+            except BaseException as exc:  # raised again on the thread that takes the draw
+                draw.error = exc
+            finally:
+                done.set()
+            del job, draw, buffer  # hold no buffer while waiting for the next job
+
+
+class _Draw:
+    """A stream's generator, the buffers queued so far of its ``sizes``, one event each."""
+
+    def __init__(self, rng: np.random.Generator, sizes: tuple[int, int]):
+        self.rng = rng
+        self.sizes = sizes
+        self.buffers: list[np.ndarray] = []
+        self.done: list[threading.Event] = []
+        self.error: BaseException | None = None
+
+
 def _estimate_step(game: LqGame, K: StructuredGain, L: StructuredGain,
                    side: Literal["K", "L"], r: float, count: int,
-                   stream: RngStream, policy: str) -> tuple[StructuredGain, int, int]:
+                   stream: RngStream, policy: str,
+                   ahead: _DrawAhead | None = None) -> tuple[StructuredGain, int, int]:
     """One (gradient, covariance) estimation round; returns (step, gate hits, samples).
 
     An attempt's two rollouts draw from independent streams whose draws do
-    not depend on the iterate.  A helper thread therefore draws the gradient
-    stream's leading normals (sphere directions, then Gaussian noise) while
-    this thread runs the covariance rollout.  The helper calls only numpy and
-    is joined before its buffer is read, so every draw is the plain one.
+    not depend on the iterate.  ``ahead``'s helper draws the gradient
+    stream's leading normals while this thread runs the covariance rollout
+    (without ``ahead``, a helper is made for this step alone).  Every draw
+    is the plain one, and every traced function runs on this thread.
     """
-    _, _, dim = gain_dims(game, side)
-    prefetch = count * (dim + game.noise.normals_per_sample)
     gate_hits = 0
     samples = 0
-    for attempt in range(2):
-        cost_rng = stream.child(_COST, attempt).generator()
-        normals = np.empty(prefetch)
-        helper = threading.Thread(target=cost_rng.standard_normal, kwargs={"out": normals})
-        helper.start()
-        try:
-            _, states = batch_rollout(game, K, L, count,
-                                      stream.child(_COV, attempt).generator(),
+    with _DrawAhead(game) if ahead is None else contextlib.nullcontext(ahead) as ahead:
+        for attempt in range(2):
+            cost_stream = stream.child(_COST, attempt)
+            ahead.request(cost_stream, side, count)
+            _, states = batch_rollout(game, K, L, count, stream.child(_COV, attempt).generator(),
                                       return_states=True)
             cov = mean_covariance_blocks(states)
             del states  # freed before the gradient rollout allocates its own
-        finally:
-            helper.join()
-        if not np.isfinite(cov).all():
-            raise DivergenceError(f"the covariance estimate for a step on {side} is not finite; "
-                                  "likely cause: the inner ascent on L diverged")
-        grad = zo_gradient(game, K, L, side, r, count, PrefetchedNormals(cost_rng, normals))
-        samples += 2 * count
-        cov, gated = _apply_covariance_gate(game, cov, policy)
-        if gated:
-            gate_hits += 1
-            if policy == "reject-and-resample" and attempt == 0:
-                continue
-            if policy == "reject-and-resample":
-                raise CovarianceGateError(
-                    f"covariance gate failed twice (phi/2 = {game.noise.phi / 2:g})")
-        # the raw gradient is 2 F Sigma, so the natural-gradient direction
-        # matching the exact solver's F/E updates is half the preconditioned
-        # estimate
-        return natural_step(grad, cov).scale(0.5), gate_hits, samples
+            if not np.isfinite(cov).all():
+                raise DivergenceError(f"the covariance estimate for a step on {side} is not "
+                                      "finite; likely cause: the inner ascent on L diverged")
+            grad = zo_gradient(game, K, L, side, r, count, ahead.take(cost_stream, side, count))
+            samples += 2 * count
+            cov, gated = _apply_covariance_gate(game, cov, policy)
+            if gated:
+                gate_hits += 1
+                if policy == "reject-and-resample" and attempt == 0:
+                    continue
+                if policy == "reject-and-resample":
+                    raise CovarianceGateError(
+                        f"covariance gate failed twice (phi/2 = {game.noise.phi / 2:g})")
+            # the raw gradient is 2 F Sigma, so the natural-gradient direction
+            # matching the exact solver's F/E updates is half the preconditioned
+            # estimate
+            return natural_step(grad, cov).scale(0.5), gate_hits, samples
     raise AssertionError("unreachable")
 
 
+def _inner_steps(stream: RngStream, config: ZoConfig) -> list:
+    """The inner loop's estimation steps as (stream, side, count)."""
+    return [(stream.child(k), "L", config.M1) for k in range(config.T_in)]
+
+
 def inner_zo_oracle(game: LqGame, K: StructuredGain, L0: StructuredGain,
-                    config: ZoConfig, stream: RngStream) -> tuple[StructuredGain, int, int]:
+                    config: ZoConfig, stream: RngStream,
+                    ahead: _DrawAhead | None = None) -> tuple[StructuredGain, int, int]:
     """Model-free inner maximization: T_in preconditioned ascent steps on L.
 
-    Returns (L, samples used, gate hits).
+    Returns (L, samples used, gate hits).  ``ahead`` is the caller's
+    draw-ahead helper; without it one is made for these steps.
     """
+    steps = _inner_steps(stream, config)
     L = L0
     samples = 0
     gate_hits = 0
-    for k in range(config.T_in):
-        step, hits, used = _estimate_step(
-            game, K, L, "L", config.r1, config.M1, stream.child(k), config.gate_policy)
-        gate_hits += hits
-        samples += used
-        L = L + step.scale(config.tau1)
+    with _DrawAhead(game, steps) if ahead is None else contextlib.nullcontext(ahead) as ahead:
+        for step_stream, _, _ in steps:
+            step, hits, used = _estimate_step(game, K, L, "L", config.r1, config.M1,
+                                              step_stream, config.gate_policy, ahead)
+            gate_hits += hits
+            samples += used
+            L = L + step.scale(config.tau1)
     return L, samples, gate_hits
 
 
@@ -187,19 +278,27 @@ def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig,
     Calls the inner oracle once per outer iteration, then forms the outer
     gradient estimate against the fixed inner output.  The trace logs the
     model-based primal gap, estimated natural-gradient norm, margins, and
-    cumulative sample counts; the step itself never reads the model.
+    cumulative sample counts; the step itself never reads the model.  One
+    helper thread draws each step's gradient stream while the step before it
+    runs; it is joined before this returns or raises.
     """
     root = RngStream(config.seed)
+    steps = []
+    for t in range(config.T):
+        steps += _inner_steps(root.child(0, t), config)
+        steps.append((root.child(1, t), "K", config.M2))
 
-    def zo_step(t, K, br):
-        L_t, inner_used, inner_hits = inner_zo_oracle(
-            game, K, zero_gain(game, "L"), config, root.child(0, t))
-        step, outer_hits, outer_used = _estimate_step(
-            game, K, L_t, "K", config.r2, config.M2, root.child(1, t), config.gate_policy)
-        return step, (inner_used, outer_used, inner_hits + outer_hits)
+    with _DrawAhead(game, steps) as ahead:
+        def zo_step(t, K, br):
+            L_t, inner_used, inner_hits = inner_zo_oracle(
+                game, K, zero_gain(game, "L"), config, root.child(0, t), ahead)
+            step, outer_hits, outer_used = _estimate_step(
+                game, K, L_t, "K", config.r2, config.M2, root.child(1, t), config.gate_policy,
+                ahead)
+            return step, (inner_used, outer_used, inner_hits + outer_hits)
 
-    return _outer_descent(game, K0, zo_step, config.T, config.tau2, nash_value,
-                          batch=(config.M1, config.M2))
+        return _outer_descent(game, K0, zo_step, config.T, config.tau2, nash_value,
+                              batch=(config.M1, config.M2))
 
 
 def smoothed_objective_fd(game: LqGame, K: StructuredGain, L: StructuredGain,

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -190,14 +193,19 @@ _RUN_DOCS = st.one_of(_JUNK, st.builds(
     st.lists(st.tuples(st.sampled_from(_FIELDS), _JUNK), max_size=2)))
 
 
+# output directories relative to a scratch directory holding the regular file "f"
+_OUTS = st.sampled_from(["o", "a\x00b", "f", "f/o"])
+
+
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(doc=_RUN_DOCS)
-def test_fuzzed_run_config_ends_in_documented_code(capsys, doc):
+@given(doc=_RUN_DOCS, out=_OUTS)
+def test_fuzzed_run_config_ends_in_documented_code(capsys, doc, out):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(doc))
-        rc = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / "o")])
+        (Path(tmp) / "f").write_text("")
+        rc = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / out)])
     err = capsys.readouterr().err
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE, cli.EXIT_DIVERGENCE,
                   cli.EXIT_COVARIANCE_GATE, cli.EXIT_INNER_LOOP), (doc, rc)
@@ -284,3 +292,36 @@ def test_run_rejects_bad_solver_numbers(tmp_path, capsys, mode, section, bad):
 def test_run_rejects_nash_mode(tmp_path, capsys):
     cfg = write_config(tmp_path, mode="nash")
     assert cli.main(["run", "--config", cfg]) == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["nash", "run", "verify"])
+@pytest.mark.parametrize("out", ["a\x00b", "file/o"])
+def test_unmakeable_out_is_config_error(tmp_path, capsys, command, out):
+    (tmp_path / "file").write_text("")
+    cfg = write_config(tmp_path, mode={"run": "exact-npg"}.get(command, command),
+                       solver={"T": 2}, verify_instances=1)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot make output directory") and err.count("\n") == 1
+
+
+def test_run_infeasible_initial_gain(tmp_path, capsys):
+    # the benchmark game has a Nash value, but the zero gain is infeasible
+    cfg = write_config(tmp_path, mode="exact-npg", initial_gain="zero",
+                       out=str(tmp_path / "o"), solver={"T": 2})
+    assert cli.main(["run", "--config", cfg]) == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: the initial gain K0 is infeasible at stage 0: "
+                          "lambda_min(Rw - D'P*D) = -8.437599e+02 <= 0") and err.count("\n") == 1
+    assert "upper value of the game" not in err
+
+
+def test_python_m_lqgames(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "lqgames", "nash", "--out", str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == cli.EXIT_OK, done.stderr
+    assert "value=3.2330" in done.stdout
+    assert (tmp_path / "o" / "nash.json").exists()

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -185,6 +186,24 @@ def test_batch_rollout_matches_plain_formulas(kind, isotropic, perturbed):
     assert np.array_equal(plain, costs)
 
 
+@pytest.mark.parametrize("count", [1, 300])
+def test_batch_rollout_states_bitwise(count):
+    # the states overwrite the noise draws in place; each one is still
+    # x_{h+1} = x_h (A - B K - D L)' + xi_h on the draws of the same stream
+    g = benchmark_game()
+    K = benchmark_initial_gain()
+    L = lift_gain([0.1 * np.ones((g.n, g.m))] * g.horizon, side="L")
+    costs, states = sim.batch_rollout(g, K, L, count, sim.RngStream(8).generator(),
+                                      return_states=True)
+    xi = g.noise.sample(count, sim.RngStream(8).generator())
+    assert np.array_equal(states[:, 0], xi[:, 0])
+    for h in range(g.horizon):
+        closed = g.A[h] - g.B[h] @ K.blocks[h] - g.D[h] @ L.blocks[h]
+        assert np.array_equal(states[:, h + 1], states[:, h] @ closed.T + xi[:, h + 1])
+    plain, _ = sim.batch_rollout(g, K, L, count, sim.RngStream(8).generator())
+    assert np.array_equal(plain, costs)
+
+
 @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 2.7, None])
 def test_noise_sample_stream_layout(sigma):
     # block after block from one generator, each a standard-normal draw
@@ -205,27 +224,45 @@ _chunk = st.one_of(st.integers(0, 40),
                    st.tuples(st.integers(0, 6), st.integers(0, 7)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(prefetched=st.integers(0, 60), chunks=st.lists(_chunk, max_size=8))
-def test_prefetched_normals_match_generator(prefetched, chunks):
-    # any chunking, inside the buffer, across its end or past it, hands out
-    # the plain generator's normals in order
+@settings(max_examples=80, deadline=None)
+@given(sizes=st.lists(st.integers(0, 30), max_size=4), chunks=st.lists(_chunk, max_size=8))
+def test_prefetched_normals_match_generator(sizes, chunks):
+    # buffers filled in turn, some of them empty; any chunking, empty, inside
+    # a buffer, across buffer ends or past the last one, hands out the plain
+    # generator's normals in order
     rng = sim.RngStream(3, (1,)).generator()
-    buffer = np.empty(prefetched)
-    rng.standard_normal(out=buffer)
-    stream = sim.PrefetchedNormals(rng, buffer)
+    buffers = [np.empty(n) for n in sizes]
+    for buffer in buffers:
+        rng.standard_normal(out=buffer)
+    stream = sim.PrefetchedNormals(rng, buffers)
     plain = sim.RngStream(3, (1,)).generator()
-    for size in chunks:
+    for size in chunks + [sum(sizes) + 3]:  # the last chunk overruns every buffer
         got = stream.standard_normal(size)
         assert got.shape == (size if isinstance(size, tuple) else (size,))
         assert np.array_equal(got, plain.standard_normal(size))
+
+
+def test_prefetched_normals_drop_used_buffers():
+    rng = sim.RngStream(4).generator()
+    buffers = [np.empty(6), np.empty(4)]
+    for buffer in buffers:
+        rng.standard_normal(out=buffer)
+    first, second = (weakref.ref(b) for b in buffers)
+    stream = sim.PrefetchedNormals(rng, buffers)
+    del buffers, buffer
+    stream.standard_normal(5)
+    assert first() is not None
+    stream.standard_normal(3)  # uses up the first buffer, nothing handed out views it
+    assert first() is None and second() is not None
+    stream.standard_normal(2)
+    assert second() is None
 
 
 def test_prefetched_normals_uniform_after_buffer():
     rng = sim.RngStream(5).generator()
     buffer = np.empty(30)
     rng.standard_normal(out=buffer)
-    stream = sim.PrefetchedNormals(rng, buffer)
+    stream = sim.PrefetchedNormals(rng, [buffer])
     stream.standard_normal((4, 5))
     with pytest.raises(RuntimeError):
         stream.uniform(-1.0, 1.0, size=3)  # would skip the 10 unread normals

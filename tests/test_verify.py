@@ -109,3 +109,18 @@ def test_reports_json_round_trip(tmp_path):
     assert set(doc) >= {"name", "instance", "passed", "margins", "tolerance", "seed"}
     table = verify.summary_table(reports)
     assert "0 failing" in table
+
+
+def test_property_suite_one_best_response_per_gain(monkeypatch):
+    # the descent check's 20 iterates and the adversarial instance: one
+    # best response each
+    calls = []
+    best_response_L = certify.best_response_L
+
+    def counting(game, K):
+        calls.append(K)
+        return best_response_L(game, K)
+
+    monkeypatch.setattr(certify, "best_response_L", counting)
+    verify.run_property_suite(seed=0, instances=0)
+    assert len(calls) <= 22

@@ -1,9 +1,12 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from lqgames import certify, zo
+from lqgames.exact import _outer_descent
 from lqgames.model import (NoiseModel, StructuredGain, benchmark_game,
                            benchmark_initial_gain, isotropic_noise, lift_gain,
                            scalar_demo_game, zero_gain)
@@ -251,3 +254,73 @@ def test_estimate_step_matches_serial_draws(case, side):
     assert np.array_equal(step.blocks, ref.blocks)
     assert (hits, samples) == (ref_hits, ref_samples)
     assert hits == expect_hits
+
+
+def _serial_outer_zo_npg(game, K0, cfg):
+    """The outer loop with every estimation step drawn in turn by ``_serial_estimate_step``."""
+    root = RngStream(cfg.seed)
+
+    def serial_step(t, K, br):
+        L, inner_used, inner_hits = zero_gain(game, "L"), 0, 0
+        for k in range(cfg.T_in):
+            step, hits, used = _serial_estimate_step(game, K, L, "L", cfg.r1, cfg.M1,
+                                                     root.child(0, t).child(k), cfg.gate_policy)
+            L = L + step.scale(cfg.tau1)
+            inner_used, inner_hits = inner_used + used, inner_hits + hits
+        step, hits, used = _serial_estimate_step(game, K, L, "K", cfg.r2, cfg.M2, root.child(1, t),
+                                                 cfg.gate_policy)
+        return step, (inner_used, used, inner_hits + hits)
+
+    return _outer_descent(game, K0, serial_step, cfg.T, cfg.tau2, None, batch=(cfg.M1, cfg.M2))
+
+
+@pytest.mark.parametrize("policy, M, seed", [
+    ("regularize", 200, 0),
+    # at this batch and seed one step's first attempt fails the gate, the second passes
+    ("reject-and-resample", 50, 21),
+])
+def test_outer_zo_npg_matches_serial_draws(policy, M, seed):
+    # every step's gradient stream is drawn one step ahead on a helper
+    # thread; the iterate and the trace stay bitwise those of serial draws
+    g = benchmark_game()
+    cfg = zo.ZoConfig(r1=2.0, r2=0.18, M1=M, M2=M, T_in=2, T=2, gate_policy=policy, seed=seed)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads as finely as the interpreter allows
+    try:
+        K, trace = zo.outer_zo_npg(g, benchmark_initial_gain(), cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    ref_K, ref_trace = _serial_outer_zo_npg(g, benchmark_initial_gain(), cfg)
+    assert np.array_equal(K.blocks, ref_K.blocks)
+
+    def rows(tr):
+        return [dataclasses.replace(row, wallclock_ms=0.0) for row in tr.rows]
+
+    assert rows(trace) == rows(ref_trace)
+    assert (trace.rows[-1].covariance_gate_hits > 0) == (policy == "reject-and-resample")
+
+
+@pytest.mark.parametrize("case", ["ok", "divergence", "gate"])
+def test_outer_zo_npg_joins_its_helper(case, monkeypatch):
+    g = benchmark_game()
+    cfg = {"ok": zo.ZoConfig(r1=2.0, r2=0.18, M1=200, M2=200, T_in=2, T=2),
+           # desk radii with a small batch: iterate 2 turns non-finite
+           "divergence": zo.ZoConfig(r1=2.0, r2=0.18, M1=300, M2=300, T=60),
+           # M = 1 gives rank-one covariance blocks, so the gate fails both attempts
+           "gate": zo.ZoConfig(M1=1, M2=1, T_in=1, T=1, gate_policy="reject-and-resample")}[case]
+    before = threading.active_count()
+    during = []
+
+    def counting_gradient(*args):
+        during.append(threading.active_count())
+        return zo_gradient(*args)
+
+    zo_gradient = zo.zo_gradient
+    monkeypatch.setattr(zo, "zo_gradient", counting_gradient)
+    if case == "ok":
+        zo.outer_zo_npg(g, benchmark_initial_gain(), cfg)
+    else:
+        with pytest.raises(zo.DivergenceError if case == "divergence" else zo.CovarianceGateError):
+            zo.outer_zo_npg(g, benchmark_initial_gain(), cfg)
+    assert set(during) == {before + 1}  # one helper for the whole run
+    assert threading.active_count() == before
