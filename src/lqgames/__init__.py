@@ -14,7 +14,7 @@ from .model import (LqGame, ModelError, NoiseModel, StructuredGain,
                     benchmark_game, benchmark_initial_gain, deterministic_noise,
                     isotropic_noise, lift_gain, load_game, resolve_game,
                     save_game, scalar_demo_game, time_invariant_game, zero_gain)
-from .sim import RngStream, batch_rollout, monte_carlo_objective
+from .sim import RngStream, batch_rollout
 from .trace import RunTrace, TraceRow
 from .verify import (CheckReport, brute_force_value_oracle, check_descent,
                      check_gradient_domination, finite_diff_gradient,
@@ -33,7 +33,7 @@ __all__ = [
     "check_gradient_domination", "deterministic_noise",
     "feasible_best_response", "finite_diff_gradient", "in_Khat_set", "khat_bound",
     "inner_npg_exact", "inner_zo_oracle", "isotropic_noise", "lift_gain",
-    "load_game", "monte_carlo_objective", "natural_gradients", "objective",
+    "load_game", "natural_gradients", "objective",
     "outer_npg_exact", "outer_zo_npg", "primal_value", "resolve_game",
     "run_property_suite", "save_game", "scalar_demo_game", "solve_nash",
     "time_invariant_game", "zero_gain", "zo_gradient",

@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -90,11 +90,13 @@ class NoiseModel:
     covariance_blocks: np.ndarray
     bound: float
     fixed_initial_state: np.ndarray | None = None
-    # per block: the transposed Cholesky factor (set in __post_init__, used
-    # by ``sample``)
+    # per block: the Cholesky factor (set in __post_init__, used by ``sample``)
     _factors: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        if self.kind not in get_args(NoiseKind):
+            raise ModelError(f"unknown noise kind {self.kind!r}; expected one of "
+                             + ", ".join(get_args(NoiseKind)))
         blocks = _stack(self.covariance_blocks, "covariance block")
         object.__setattr__(self, "covariance_blocks", blocks)
         m = blocks.shape[1]
@@ -117,7 +119,7 @@ class NoiseModel:
         else:
             if self.fixed_initial_state is not None:
                 raise ModelError("fixed initial state only valid for deterministic-zero noise")
-            object.__setattr__(self, "_factors", np.linalg.cholesky(blocks).swapaxes(1, 2))
+            object.__setattr__(self, "_factors", np.linalg.cholesky(blocks))
 
     @property
     def dim(self) -> int:
@@ -136,30 +138,31 @@ class NoiseModel:
         return self.covariance_blocks.shape[0] * self.dim
 
     def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``count`` lifted noise vectors, shape (count, N+1, m).
+        """Draw ``count`` lifted noise vectors, stage-major: shape (N+1, m, count).
 
-        Row 0 of each sample is x_0, rows 1..N the stage noises xi_0..xi_{N-1}.
-        Blocks are drawn one after another from ``rng``, each with its
-        rejection redraws before the next block.
+        ``out[0]`` holds the x_0 of each sample, ``out[1..N]`` the stage
+        noises xi_0..xi_{N-1}.  Blocks are drawn one after another from
+        ``rng`` as (count, m) arrays, each with its rejection redraws before
+        the next block, and written as ``factor @ z.T`` into ``out[i]``.
         """
         n_blocks, m, _ = self.covariance_blocks.shape
-        out = np.empty((count, n_blocks, m))
+        out = np.empty((n_blocks, m, count))
         if self.kind == "deterministic-zero":
             out[:] = 0.0
-            out[:, 0, :] = self.fixed_initial_state
+            out[0] = self.fixed_initial_state[:, None]
             return out
         bound_sq = self.bound * self.bound
-        for i, factor in enumerate(self._factors):
+        for factor, block in zip(self._factors, out):
             if self.kind == "truncated-gaussian":
-                draws = rng.standard_normal((count, m)) @ factor
-                bad = np.einsum("ci,ci->c", draws, draws) > bound_sq
+                np.matmul(factor, rng.standard_normal((count, m)).T, out=block)
+                bad = np.einsum("ic,ic->c", block, block) > bound_sq
                 # rejection loop; with the default bound this almost never runs
                 while bad.any():
-                    draws[bad] = rng.standard_normal((int(bad.sum()), m)) @ factor
-                    bad = np.einsum("ci,ci->c", draws, draws) > bound_sq
+                    block[:, bad] = factor @ rng.standard_normal((int(bad.sum()), m)).T
+                    bad = np.einsum("ic,ic->c", block, block) > bound_sq
             else:  # scaled-uniform: unit-variance uniform coordinates
-                draws = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(count, m)) @ factor
-            out[:, i, :] = draws
+                np.matmul(factor, rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(count, m)).T,
+                          out=block)
         return out
 
     @staticmethod
@@ -355,6 +358,10 @@ def game_from_dict(doc: dict) -> LqGame:
         )
     except KeyError as exc:
         raise ModelError(f"game document missing key {exc}") from exc
+    except ModelError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:  # a field of the wrong type or value
+        raise ModelError(f"malformed game document: {exc}") from exc
 
 
 def save_game(game: LqGame, path) -> None:

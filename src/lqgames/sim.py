@@ -84,10 +84,12 @@ def batch_rollout(game: LqGame, K: StructuredGain, L: StructuredGain, count: int
                   return_states: bool = False):
     """Simulate ``count`` independent trajectories in one vectorized pass.
 
-    ``K_perturb`` / ``L_perturb`` optionally add a per-sample gain offset of
-    shape (count, N, p, m); this is how zeroth-order perturbations enter.
-    Returns (costs, states) with states of shape (count, N+1, m) or None;
-    the states overwrite the noise draws, each once it has been added.
+    Every batch array is stage-major with the sample index last, so each
+    stage works on contiguous (m, count) states.  ``K_perturb`` /
+    ``L_perturb`` optionally add a per-sample gain offset of shape
+    (N, p, m, count); this is how zeroth-order perturbations enter.  Returns
+    (costs, states) with states of shape (N+1, m, count) or None; the states
+    overwrite the noise draws, each once it has been added.
 
     Each stage forms the closed loop A - B K - D L and the combined cost
     Q + K' Ru K - L' Rw L once; a perturbation du = dK x adds
@@ -95,50 +97,28 @@ def batch_rollout(game: LqGame, K: StructuredGain, L: StructuredGain, count: int
     (dw = dL x likewise, with -Rw and D).
     """
     N = game.horizon
-    xi = game.noise.sample(count, rng)  # (count, N+1, m)
-    x = xi[:, 0, :]
+    xi = game.noise.sample(count, rng)  # (N+1, m, count)
     costs = np.zeros(count)
     for h in range(N):
+        x, x_next = xi[h], xi[h + 1]
         Kh, Lh = K.blocks[h], L.blocks[h]
         Ru, Rw = game.Ru[h], game.Rw[h]
         closed = game.A[h] - game.B[h] @ Kh - game.D[h] @ Lh
         weight = game.Q[h] + Kh.T @ Ru @ Kh - Lh.T @ Rw @ Lh
-        costs += np.einsum("ci,ci->c", x @ weight, x)
-        x_next = x @ closed.T + xi[:, h + 1, :]
+        costs += np.einsum("ic,ic->c", weight @ x, x)
+        x_next += closed @ x
         for perturb, gain, R, G, sign in ((K_perturb, Kh, Ru, game.B[h], 1.0),
                                           (L_perturb, Lh, Rw, game.D[h], -1.0)):
             if perturb is None:
                 continue
-            delta = np.einsum("cpm,cm->cp", perturb[:, h], x)
-            cross = x @ ((R + R.T) @ gain).T + delta @ R.T
-            costs += sign * np.einsum("cp,cp->c", delta, cross)
-            x_next -= delta @ G.T
-        if return_states:
-            xi[:, h + 1, :] = x_next  # x_0 is xi[:, 0] already
-        x = x_next
-    costs += np.einsum("ci,ci->c", x @ game.Q[N], x)
+            delta = np.einsum("pjc,jc->pc", perturb[h], x)
+            cross = ((R + R.T) @ gain) @ x + R @ delta
+            costs += sign * np.einsum("pc,pc->c", delta, cross)
+            x_next -= G @ delta
+    costs += np.einsum("ic,ic->c", game.Q[N] @ xi[N], xi[N])
     return costs, (xi if return_states else None)
 
 
 def mean_covariance_blocks(states: np.ndarray) -> np.ndarray:
-    """Mean per-stage second moments over a batch of state arrays, shape (N+1, m, m)."""
-    count = states.shape[0]
-    return np.array([states[:, h, :].T @ states[:, h, :] / count for h in range(states.shape[1])])
-
-
-def monte_carlo_objective(game: LqGame, K: StructuredGain, L: StructuredGain,
-                          count: int, rng: np.random.Generator,
-                          chunk: int = 200_000) -> tuple[float, float]:
-    """Sample mean and standard error of the single-trajectory cost."""
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < count:
-        c = min(chunk, count - done)
-        costs, _ = batch_rollout(game, K, L, c, rng)
-        total += math.fsum(costs)
-        total_sq += math.fsum(costs * costs)
-        done += c
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return mean, math.sqrt(var / count)
+    """Mean per-stage second moments of stage-major states (N+1, m, count), shape (N+1, m, m)."""
+    return np.einsum("hic,hjc->hij", states, states) / states.shape[2]

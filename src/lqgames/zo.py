@@ -17,7 +17,6 @@ from typing import Literal
 
 import numpy as np
 
-from . import certify
 from .exact import DivergenceError, SolverStop, _check_numbers, _outer_descent
 from .model import LqGame, StructuredGain, zero_gain
 from .sim import PrefetchedNormals, RngStream, batch_rollout, mean_covariance_blocks
@@ -65,8 +64,10 @@ def sample_unit_sphere(game: LqGame, side: Literal["K", "L"], count: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Uniform draws on the unit Frobenius sphere of the structured subspace.
 
-    Returns stage blocks of shape (count, N, p, m); the lift of each draw has
-    Frobenius norm exactly 1.
+    Sample c takes the c-th (dim,) row of standard normals from ``rng``.
+    Returns stage blocks with the sample index last, shape (N, p, m, count);
+    the lift of each draw has Frobenius norm exactly 1.  The normalisation
+    writes the one stage-major copy, so the drawn rows are dropped on return.
     """
     p, m, dim = gain_dims(game, side)
     flat = rng.standard_normal((count, dim))
@@ -75,8 +76,8 @@ def sample_unit_sphere(game: LqGame, side: Literal["K", "L"], count: int,
         bad = sq_norms == 0.0
         flat[bad] = rng.standard_normal((int(bad.sum()), dim))
         sq_norms = np.einsum("ci,ci->c", flat, flat)
-    flat /= np.sqrt(sq_norms)[:, None]
-    return flat.reshape(count, game.horizon, p, m)
+    U = np.divide(flat.T, np.sqrt(sq_norms), out=np.empty((dim, count)))
+    return U.reshape(game.horizon, p, m, count)
 
 
 def zo_gradient(game: LqGame, K: StructuredGain, L: StructuredGain,
@@ -90,10 +91,10 @@ def zo_gradient(game: LqGame, K: StructuredGain, L: StructuredGain,
     """
     _, _, dim = gain_dims(game, side)
     rU = sample_unit_sphere(game, side, count, rng)
-    rU *= r  # in place: a fresh (count, N, p, m) copy costs more in page faults than in arithmetic
+    rU *= r  # in place: a fresh (N, p, m, count) copy costs more in page faults than in arithmetic
     perturb = {"K_perturb": rU} if side == "K" else {"L_perturb": rU}
     costs, _ = batch_rollout(game, K, L, count, rng, **perturb)
-    blocks = (dim / (r * r)) * (costs @ rU.reshape(count, -1)).reshape(rU.shape[1:]) / count
+    blocks = (dim / (r * r)) * (rU.reshape(-1, count) @ costs).reshape(rU.shape[:-1]) / count
     return StructuredGain(side, blocks)
 
 
@@ -179,6 +180,13 @@ class _DrawAhead:
             raise draw.error
         return PrefetchedNormals(draw.rng, draw.buffers)
 
+    def drop(self, stream: RngStream, side: Literal["K", "L"], count: int) -> None:
+        """Forget the queued buffers of a stream that will not be read.
+
+        The helper still fills any buffer it has queued, then lets it go.
+        """
+        self._queued.pop((stream, side, count), None)
+
     def _run(self) -> None:
         while (job := self._jobs.get()) is not None:
             draw, buffer, done = job
@@ -212,7 +220,9 @@ def _estimate_step(game: LqGame, K: StructuredGain, L: StructuredGain,
     not depend on the iterate.  ``ahead``'s helper draws the gradient
     stream's leading normals while this thread runs the covariance rollout
     (without ``ahead``, a helper is made for this step alone).  Every draw
-    is the plain one, and every traced function runs on this thread.
+    is the plain one, and every traced function runs on this thread.  The
+    gate is tested before the gradient rollout, so an attempt rejected under
+    ``reject-and-resample`` spends only its ``count`` covariance trajectories.
     """
     gate_hits = 0
     samples = 0
@@ -227,16 +237,17 @@ def _estimate_step(game: LqGame, K: StructuredGain, L: StructuredGain,
             if not np.isfinite(cov).all():
                 raise DivergenceError(f"the covariance estimate for a step on {side} is not "
                                       "finite; likely cause: the inner ascent on L diverged")
+            cov, gated = _apply_covariance_gate(game, cov, policy)
+            gate_hits += gated
+            if gated and policy == "reject-and-resample":
+                samples += count
+                ahead.drop(cost_stream, side, count)
+                if attempt == 0:
+                    continue
+                raise CovarianceGateError(
+                    f"covariance gate failed twice (phi/2 = {game.noise.phi / 2:g})")
             grad = zo_gradient(game, K, L, side, r, count, ahead.take(cost_stream, side, count))
             samples += 2 * count
-            cov, gated = _apply_covariance_gate(game, cov, policy)
-            if gated:
-                gate_hits += 1
-                if policy == "reject-and-resample" and attempt == 0:
-                    continue
-                if policy == "reject-and-resample":
-                    raise CovarianceGateError(
-                        f"covariance gate failed twice (phi/2 = {game.noise.phi / 2:g})")
             # the raw gradient is 2 F Sigma, so the natural-gradient direction
             # matching the exact solver's F/E updates is half the preconditioned
             # estimate
@@ -299,25 +310,3 @@ def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig,
 
         return _outer_descent(game, K0, zo_step, config.T, config.tau2, nash_value,
                               batch=(config.M1, config.M2))
-
-
-def smoothed_objective_fd(game: LqGame, K: StructuredGain, L: StructuredGain,
-                          side: Literal["K", "L"], r: float, count: int,
-                          rng: np.random.Generator) -> StructuredGain:
-    """High-accuracy Monte Carlo reference for the smoothed-objective gradient.
-
-    Averages exact model objectives (not rollouts) of sphere-perturbed gains,
-    so its only error is the directional sampling noise.  Used to validate
-    the rollout-based estimator's unbiasedness.
-    """
-    p, m, dim = gain_dims(game, side)
-    U = sample_unit_sphere(game, side, count, rng)
-    acc = np.zeros((game.horizon, p, m))
-    for i in range(count):
-        pert = StructuredGain(side, r * U[i])
-        if side == "K":
-            val = certify.objective(game, K + pert, L)
-        else:
-            val = certify.objective(game, K, L + pert)
-        acc += val * U[i]
-    return StructuredGain(side, (dim / r) * acc / count)

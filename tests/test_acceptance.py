@@ -152,7 +152,7 @@ def test_criterion_6_estimator_statistics(acceptance_report):
     rng = RngStream(11).generator()
     U = zo.sample_unit_sphere(g, "L", M, rng)
     costs, _ = batch_rollout(g, K, L, M, rng, L_perturb=r * U)
-    samples = (1.0 / r) * costs * U[:, 0, 0, 0]
+    samples = (1.0 / r) * costs * U[0, 0, 0]
     mean = float(samples.mean())
     se = float(samples.std(ddof=1)) / np.sqrt(M)
     est = zo.zo_gradient(g, K, L, "L", r, M, RngStream(11).generator())

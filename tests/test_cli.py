@@ -243,6 +243,39 @@ def test_nash_nonfinite_game_is_config_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "nash.json").exists()
 
 
+def _replace(doc, path, value):
+    """A copy of a game document with the field at ``path`` (keys, then indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value", [
+    (("horizon",), "abc"),
+    (("horizon",), float("inf")),
+    (("stages",), 5),
+    (("stages", 0), 3.0),
+    (("noise", "bound"), "x"),
+    (("noise", "kind"), "bogus"),
+    ((), [1, 2]),
+], ids=["horizon-text", "horizon-infinite", "stages-number", "stage-number", "bound-text",
+        "kind-unknown", "top-level-list"])
+def test_nash_malformed_game_file_is_config_error(tmp_path, capsys, path, value):
+    game_path = tmp_path / "game.json"
+    game_path.write_text(json.dumps(_replace(game_to_dict(benchmark_game()), path, value)))
+    cfg = write_config(tmp_path, game=str(game_path), mode="nash")
+    rc = cli.main(["nash", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1, err
+    assert not (tmp_path / "o" / "nash.json").exists()
+
+
 def test_run_nonfinite_iterate_is_divergence(tmp_path, capsys):
     # desk radii with a small batch: an iterate jumps to non-finite values
     cfg = write_config(tmp_path, mode="zo-npg", seeds=[0], out=str(tmp_path / "o"),

@@ -120,11 +120,11 @@ def test_noise_sampling_bound_and_moments():
     noise = isotropic_noise(3, 5, sigma=0.05)
     rng = np.random.default_rng(0)
     draws = noise.sample(20000, rng)
-    assert draws.shape == (20000, 6, 3)
-    norms = np.linalg.norm(draws, axis=2)
+    assert draws.shape == (6, 3, 20000)
+    norms = np.linalg.norm(draws, axis=1)
     assert norms.max() <= noise.bound + 1e-12
     # per-block second moment close to 0.05 I
-    cov = np.einsum("cbi,cbj->bij", draws, draws) / 20000
+    cov = np.einsum("bic,bjc->bij", draws, draws) / 20000
     assert np.allclose(cov, 0.05 * np.eye(3), atol=5e-3)
     assert noise.phi == pytest.approx(0.05)
 
@@ -132,15 +132,15 @@ def test_noise_sampling_bound_and_moments():
 def test_scaled_uniform_noise_variance():
     noise = isotropic_noise(2, 2, sigma=0.1, kind="scaled-uniform")
     draws = noise.sample(50000, np.random.default_rng(1))
-    cov = np.einsum("cbi,cbj->bij", draws, draws) / 50000
+    cov = np.einsum("bic,bjc->bij", draws, draws) / 50000
     assert np.allclose(cov, 0.1 * np.eye(2), atol=5e-3)
 
 
 def test_deterministic_noise():
     noise = deterministic_noise([1.0, 2.0], horizon=3)
     draws = noise.sample(4, np.random.default_rng(0))
-    assert np.array_equal(draws[0, 0], [1.0, 2.0])
-    assert np.all(draws[:, 1:, :] == 0.0)
+    assert np.array_equal(draws[0], [[1.0] * 4, [2.0] * 4])
+    assert np.all(draws[1:] == 0.0)
     assert noise.phi == 0.0
 
 

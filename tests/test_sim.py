@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import monte_carlo_objective
 from lqgames import certify, sim, zo
 from lqgames.model import (NoiseModel, benchmark_game, benchmark_initial_gain,
                            isotropic_noise, lift_gain, scalar_demo_game,
@@ -34,7 +35,7 @@ def test_rollout_deterministic_noise():
     costs, states = sim.batch_rollout(g, K, L, 1, sim.RngStream(0).generator(),
                                       return_states=True)
     # x0 = 1, u0 = -0.5, x1 = 1 - 0.5 = 0.5
-    assert states[0] == pytest.approx(np.array([[1.0], [0.5]]))
+    assert states[..., 0] == pytest.approx(np.array([[1.0], [0.5]]))
     # cost = x0^2 + u0^2 + x1^2 = 1 + 0.25 + 0.25
     assert costs[0] == pytest.approx(1.5)
     P = certify.value_blocks(g, K, L)
@@ -48,14 +49,14 @@ def test_batch_rollout_shapes():
     costs, states = sim.batch_rollout(g, K, L, 64, sim.RngStream(0).generator(),
                                       return_states=True)
     assert costs.shape == (64,)
-    assert states.shape == (64, g.horizon + 1, g.m)
+    assert states.shape == (g.horizon + 1, g.m, 64)
 
 
 def test_batch_rollout_perturbation_offsets_gain():
     g = scalar_demo_game(deterministic=True)
     K = lift_gain([np.array([[0.3]])], side="K")
     L = zero_gain(g, "L")
-    pert = np.full((1, g.horizon, 1, 1), 0.2)
+    pert = np.full((g.horizon, 1, 1, 1), 0.2)
     costs, _ = sim.batch_rollout(g, K, L, 1, sim.RngStream(0).generator(),
                                  K_perturb=pert)
     K_shift = lift_gain([np.array([[0.5]])], side="K")
@@ -67,8 +68,7 @@ def test_mean_cost_matches_objective():
     g = benchmark_game()
     K = benchmark_initial_gain()
     L = zero_gain(g, "L")
-    mean, se = sim.monte_carlo_objective(g, K, L, 200_000,
-                                         sim.RngStream(17).generator())
+    mean, se = monte_carlo_objective(g, K, L, 200_000, sim.RngStream(17).generator())
     obj = certify.objective(g, K, L)
     assert abs(mean - obj) <= 3.0 * se
     assert se < 0.05
@@ -105,7 +105,7 @@ def test_empirical_covariance_rank_one():
                                   sim.RngStream(3).generator(), return_states=True)
     blocks = sim.mean_covariance_blocks(states)
     assert blocks.shape == (g.horizon + 1, g.m, g.m)
-    for x, b in zip(states[0], blocks):
+    for x, b in zip(states[..., 0], blocks):
         assert np.allclose(b, np.outer(x, x))
         assert np.linalg.matrix_rank(b) == 1
 
@@ -142,19 +142,19 @@ def _with_noise(game, kind, isotropic):
 def _reference_rollout(game, K, L, xi, K_perturb=None, L_perturb=None):
     """Per-sample loop over the plain formulas u = (K+dK)x, w = (L+dL)x,
     cost x'Qx + u'Ru u - w'Rw w, x' = Ax - Bu - Dw + xi."""
-    count, N = xi.shape[0], game.horizon
+    count, N = xi.shape[2], game.horizon
     costs = np.zeros(count)
     states = np.empty_like(xi)
     for c in range(count):
-        x = xi[c, 0]
+        x = xi[0, :, c]
         for h in range(N):
-            states[c, h] = x
-            Kh = K.blocks[h] + (0.0 if K_perturb is None else K_perturb[c, h])
-            Lh = L.blocks[h] + (0.0 if L_perturb is None else L_perturb[c, h])
+            states[h, :, c] = x
+            Kh = K.blocks[h] + (0.0 if K_perturb is None else K_perturb[h, ..., c])
+            Lh = L.blocks[h] + (0.0 if L_perturb is None else L_perturb[h, ..., c])
             u, w = Kh @ x, Lh @ x
             costs[c] += x @ game.Q[h] @ x + u @ game.Ru[h] @ u - w @ game.Rw[h] @ w
-            x = game.A[h] @ x - game.B[h] @ u - game.D[h] @ w + xi[c, h + 1]
-        states[c, N] = x
+            x = game.A[h] @ x - game.B[h] @ u - game.D[h] @ w + xi[h + 1, :, c]
+        states[N, :, c] = x
         costs[c] += x @ game.Q[N] @ x
     return costs, states
 
@@ -172,9 +172,9 @@ def test_batch_rollout_matches_plain_formulas(kind, isotropic, perturbed):
     rng = np.random.default_rng(3)
     perturb = {}
     if perturbed in ("K", "both"):
-        perturb["K_perturb"] = 0.1 * rng.standard_normal((count, g.horizon, g.d, g.m))
+        perturb["K_perturb"] = 0.1 * rng.standard_normal((g.horizon, g.d, g.m, count))
     if perturbed in ("L", "both"):
-        perturb["L_perturb"] = 0.1 * rng.standard_normal((count, g.horizon, g.n, g.m))
+        perturb["L_perturb"] = 0.1 * rng.standard_normal((g.horizon, g.n, g.m, count))
     costs, states = sim.batch_rollout(g, K, L, count, sim.RngStream(8).generator(),
                                       return_states=True, **perturb)
     xi = g.noise.sample(count, sim.RngStream(8).generator())
@@ -189,25 +189,25 @@ def test_batch_rollout_matches_plain_formulas(kind, isotropic, perturbed):
 @pytest.mark.parametrize("count", [1, 300])
 def test_batch_rollout_states_bitwise(count):
     # the states overwrite the noise draws in place; each one is still
-    # x_{h+1} = x_h (A - B K - D L)' + xi_h on the draws of the same stream
+    # x_{h+1} = (A - B K - D L) x_h + xi_h on the draws of the same stream
     g = benchmark_game()
     K = benchmark_initial_gain()
     L = lift_gain([0.1 * np.ones((g.n, g.m))] * g.horizon, side="L")
     costs, states = sim.batch_rollout(g, K, L, count, sim.RngStream(8).generator(),
                                       return_states=True)
     xi = g.noise.sample(count, sim.RngStream(8).generator())
-    assert np.array_equal(states[:, 0], xi[:, 0])
+    assert np.array_equal(states[0], xi[0])
     for h in range(g.horizon):
         closed = g.A[h] - g.B[h] @ K.blocks[h] - g.D[h] @ L.blocks[h]
-        assert np.array_equal(states[:, h + 1], states[:, h] @ closed.T + xi[:, h + 1])
+        assert np.array_equal(states[h + 1], closed @ states[h] + xi[h + 1])
     plain, _ = sim.batch_rollout(g, K, L, count, sim.RngStream(8).generator())
     assert np.array_equal(plain, costs)
 
 
 @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 2.7, None])
 def test_noise_sample_stream_layout(sigma):
-    # block after block from one generator, each a standard-normal draw
-    # times the transposed Cholesky factor, bitwise
+    # block after block from one generator, each the Cholesky factor times
+    # a transposed (count, m) standard-normal draw, bitwise
     g = benchmark_game()
     if sigma is None:
         g = _with_noise(g, "truncated-gaussian", isotropic=False)
@@ -216,8 +216,8 @@ def test_noise_sample_stream_layout(sigma):
     xi = g.noise.sample(500, sim.RngStream(4).generator())
     rng = sim.RngStream(4).generator()
     for i, cov in enumerate(g.noise.covariance_blocks):
-        expect = rng.standard_normal((500, g.m)) @ np.linalg.cholesky(cov).T
-        assert np.array_equal(xi[:, i, :], expect)
+        expect = np.linalg.cholesky(cov) @ rng.standard_normal((500, g.m)).T
+        assert np.array_equal(xi[i], expect)
 
 
 _chunk = st.one_of(st.integers(0, 40),

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import smoothed_objective_fd
 from lqgames import certify, zo
 from lqgames.exact import _outer_descent
 from lqgames.model import (NoiseModel, StructuredGain, benchmark_game,
@@ -46,16 +47,16 @@ def test_gain_dims():
 def test_sphere_samples_unit_norm():
     g = benchmark_game()
     U = zo.sample_unit_sphere(g, "K", 128, RngStream(0).generator())
-    assert U.shape == (128, 5, 3, 3)
-    norms = np.linalg.norm(U.reshape(128, -1), axis=1)
+    assert U.shape == (5, 3, 3, 128)
+    norms = np.linalg.norm(U.reshape(-1, 128), axis=0)
     assert np.allclose(norms, 1.0)
 
 
 def test_sphere_second_moment_isotropic():
     g = scalar_demo_game()
     U = zo.sample_unit_sphere(g, "L", 200_000, RngStream(1).generator())
-    flat = U.reshape(200_000, -1)
-    second = flat.T @ flat / 200_000
+    flat = U.reshape(-1, 200_000)
+    second = flat @ flat.T / 200_000
     # dim = 1: the draw is +-1 with equal probability, second moment exactly 1
     assert second[0, 0] == pytest.approx(1.0)
     assert abs(flat.mean()) <= 3.0 / np.sqrt(200_000)
@@ -70,7 +71,7 @@ def test_zo_gradient_single_sample_identity():
     rng = RngStream(9).generator()
     U = zo.sample_unit_sphere(g, "L", 1, rng)
     costs, _ = batch_rollout(g, K, L, 1, rng, L_perturb=r * U)
-    assert est.blocks[0] == pytest.approx((1.0 / r) * costs[0] * U[0, 0])
+    assert est.blocks[0] == pytest.approx((1.0 / r) * costs[0] * U[0, ..., 0])
 
 
 def test_zo_gradient_unbiased_scalar():
@@ -192,28 +193,32 @@ def test_smoothed_objective_reference_matches_estimator():
     # exact-model MC reference and rollout estimator agree in expectation
     g = scalar_demo_game(deterministic=True)
     K, L = k_half(), zero_gain(scalar_demo_game(), "L")
-    ref = zo.smoothed_objective_fd(g, K, L, "L", 0.05, 50_000,
-                                   RngStream(3).generator())
+    ref = smoothed_objective_fd(g, K, L, "L", 0.05, 50_000, RngStream(3).generator())
     est = zo.zo_gradient(g, K, L, "L", 0.05, 200_000, RngStream(4).generator())
     assert abs(ref.blocks[0][0, 0] - est.blocks[0][0, 0]) <= 0.05
 
 
 def _serial_estimate_step(game, K, L, side, r, count, stream, policy):
-    """The estimation round with every draw taken from a plain generator, in turn."""
+    """The estimation round with every draw taken from a plain generator, in turn.
+
+    An attempt that fails the gate under ``reject-and-resample`` runs no
+    gradient rollout.
+    """
     gate_hits = samples = 0
     for attempt in range(2):
-        grad = zo.zo_gradient(game, K, L, side, r, count,
-                              stream.child(zo._COST, attempt).generator())
         _, states = batch_rollout(game, K, L, count,
                                   stream.child(zo._COV, attempt).generator(),
                                   return_states=True)
-        samples += 2 * count
         cov, gated = zo._apply_covariance_gate(game, mean_covariance_blocks(states), policy)
         gate_hits += gated
         if gated and policy == "reject-and-resample":
+            samples += count
             if attempt == 0:
                 continue
             raise zo.CovarianceGateError("covariance gate failed twice")
+        grad = zo.zo_gradient(game, K, L, side, r, count,
+                              stream.child(zo._COST, attempt).generator())
+        samples += 2 * count
         return zo.natural_step(grad, cov).scale(0.5), gate_hits, samples
 
 
@@ -254,6 +259,8 @@ def test_estimate_step_matches_serial_draws(case, side):
     assert np.array_equal(step.blocks, ref.blocks)
     assert (hits, samples) == (ref_hits, ref_samples)
     assert hits == expect_hits
+    # a rejected attempt spends only its covariance trajectories
+    assert samples == (3 if case == "resample" else 2) * count
 
 
 def _serial_outer_zo_npg(game, K0, cfg):
@@ -311,12 +318,13 @@ def test_outer_zo_npg_joins_its_helper(case, monkeypatch):
     before = threading.active_count()
     during = []
 
-    def counting_gradient(*args):
+    def counting_covariance(*args):
+        # every attempt estimates a covariance, a gated one before any gradient rollout
         during.append(threading.active_count())
-        return zo_gradient(*args)
+        return mean_covariance(*args)
 
-    zo_gradient = zo.zo_gradient
-    monkeypatch.setattr(zo, "zo_gradient", counting_gradient)
+    mean_covariance = zo.mean_covariance_blocks
+    monkeypatch.setattr(zo, "mean_covariance_blocks", counting_covariance)
     if case == "ok":
         zo.outer_zo_npg(g, benchmark_initial_gain(), cfg)
     else:
