@@ -8,7 +8,7 @@ verification of the underlying structural identities.
 from .certify import (BestResponse, NashInfeasibleError, NashSolution,
                       ValueCertificate, best_response_L, certificate,
                       feasible_best_response, in_Khat_set, khat_bound,
-                      natural_gradients, objective, primal_value, solve_nash)
+                      natural_gradients, objective, solve_nash)
 from .exact import DivergenceError, ExactSolverConfig, inner_npg_exact, outer_npg_exact
 from .model import (LqGame, ModelError, NoiseModel, StructuredGain,
                     benchmark_game, benchmark_initial_gain, deterministic_noise,
@@ -34,7 +34,7 @@ __all__ = [
     "feasible_best_response", "finite_diff_gradient", "in_Khat_set", "khat_bound",
     "inner_npg_exact", "inner_zo_oracle", "isotropic_noise", "lift_gain",
     "load_game", "natural_gradients", "objective",
-    "outer_npg_exact", "outer_zo_npg", "primal_value", "resolve_game",
+    "outer_npg_exact", "outer_zo_npg", "resolve_game",
     "run_property_suite", "save_game", "scalar_demo_game", "solve_nash",
     "time_invariant_game", "zero_gain", "zo_gradient",
 ]

@@ -11,6 +11,7 @@ at once, and only the recursions loop over the horizon.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -97,18 +98,18 @@ def objective(game: LqGame, K: StructuredGain, L: StructuredGain) -> float:
 
 
 def natural_gradients(game: LqGame, K: StructuredGain, L: StructuredGain,
-                      P: np.ndarray | None = None) -> tuple[StructuredGain, StructuredGain]:
-    """Natural-gradient pair (F, E); the raw gradients are 2 F Sigma, 2 E Sigma."""
+                      side: Literal["K", "L"], P: np.ndarray | None = None) -> StructuredGain:
+    """Natural gradient F (side "K") or E (side "L"); raw gradients are 2 F Sigma, 2 E Sigma."""
     if P is None:
         P = value_blocks(game, K, L)
     Pn = P[1:]
-    BtP = _T(game.B) @ Pn
+    if side == "K":
+        BtP = _T(game.B) @ Pn
+        AL = game.A - game.D @ L.blocks
+        return StructuredGain("K", (game.Ru + BtP @ game.B) @ K.blocks - BtP @ AL)
     DtP = _T(game.D) @ Pn
-    AL = game.A - game.D @ L.blocks
     AK = game.A - game.B @ K.blocks
-    F = (game.Ru + BtP @ game.B) @ K.blocks - BtP @ AL
-    E = (DtP @ game.D - game.Rw) @ L.blocks - DtP @ AK
-    return StructuredGain("K", F), StructuredGain("L", E)
+    return StructuredGain("L", (DtP @ game.D - game.Rw) @ L.blocks - DtP @ AK)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,8 @@ class ValueCertificate:
 def certificate(game: LqGame, K: StructuredGain, L: StructuredGain) -> ValueCertificate:
     P = value_blocks(game, K, L)
     S = covariance_blocks(game, K, L)
-    F, E = natural_gradients(game, K, L, P)
+    F = natural_gradients(game, K, L, "K", P)
+    E = natural_gradients(game, K, L, "L", P)
     H = game.Rw - _T(game.D) @ P[1:] @ game.D  # stage h uses P_{h+1}
     return ValueCertificate(P, S, F, E, H, expected_cost(game, P))
 
@@ -172,14 +174,15 @@ def _eigvalsh_finite(blocks: np.ndarray) -> np.ndarray:
     return np.full(blocks.shape[:-1], np.nan)
 
 
-def best_response_L(game: LqGame, K: StructuredGain) -> BestResponse:
-    """Exact inner maximization via the stage-wise Riccati recursion.
+def _margin_ok(w: np.ndarray) -> np.ndarray:
+    """Positive definiteness of margin blocks from their ascending eigenvalues ``w``."""
+    return w[..., 0] > PD_TOL * (1.0 + np.maximum(-w[..., 0], w[..., -1]))
 
-    Returns ``feasible=False`` (never raises) when some stage margin
-    Rw - D'PD fails to be positive definite, the value recursion leaves the
-    PSD cone, or a margin or value block is not finite (``lam_min`` is then
-    NaN).  ||H||_2 and ||P||_2 are the largest |eigenvalue| of the blocks.
-    """
+
+def _best_response_pass(game: LqGame, K: StructuredGain, checked: bool) -> BestResponse:
+    """One backward recursion of ``best_response_L``.  ``checked`` tests each margin
+    before its solve; unchecked, all are tested in one batch at the end, which gives
+    the same bits when every test passes and else only a meaningful ``feasible``."""
     g = game
     N, m, n = g.horizon, g.m, g.n
     Kb = K.blocks
@@ -191,27 +194,32 @@ def best_response_L(game: LqGame, K: StructuredGain) -> BestResponse:
     Lb = np.zeros((N, n, m))
     Hb = np.empty_like(g.Rw)
     wH = np.empty((N, n))
-    feasible = True
-    stage = None
-    lam_bad = None
+    rhs = np.empty((n, 2 * m))
+    feasible, stage, lam_bad = True, None, None
     for h in range(N - 1, -1, -1):
         Pn = P[h + 1]
         DtP = Dt[h] @ Pn
         H = Hb[h] = _sym(g.Rw[h] - DtP @ g.D[h])
-        w = wH[h] = _eigvalsh_finite(H)
-        if not w[0] > PD_TOL * (1.0 + max(-w[0], w[-1])):
-            feasible = False
-            stage = h
-            lam_bad = float(w[0])
-            # keep recursing with the unregularized value so the report is
-            # complete, but skip the (ill-defined) response at this stage
-            P[h] = _sym(base[h] + AK[h].T @ Pn @ AK[h])
-            continue
+        if checked:
+            w = wH[h] = _eigvalsh_finite(H)
+            if not _margin_ok(w):
+                feasible = False
+                stage = h
+                lam_bad = float(w[0])
+                # keep recursing with the unregularized value so the report is
+                # complete, but skip the (ill-defined) response at this stage
+                P[h] = _sym(base[h] + AK[h].T @ Pn @ AK[h])
+                continue
         # one solve for H^-1 D'P and H^-1 D'P AK (the same bits as two)
-        X = np.linalg.solve(H, np.concatenate([DtP, DtP @ AK[h]], axis=1))
+        rhs[:, :m] = DtP
+        rhs[:, m:] = DtP @ AK[h]
+        X = np.linalg.solve(H, rhs)
         Lb[h] = -X[:, m:]
         Ptil = _sym(Pn + DtP.T @ X[:, :m])
         P[h] = _sym(base[h] + AK[h].T @ Ptil @ AK[h])
+    if not checked:
+        wH = _eigvalsh_finite(Hb)
+        feasible = bool(_margin_ok(wH).all())
     wP = _eigvalsh_finite(P)
     if feasible:
         bad = ~(wP[:, 0] >= -PSD_TOL * (1.0 + np.abs(wP).max(axis=1)))
@@ -219,16 +227,28 @@ def best_response_L(game: LqGame, K: StructuredGain) -> BestResponse:
             feasible = False
             stage = int(np.argmax(bad))
             lam_bad = float(wP[stage, 0])
-    return BestResponse(
-        L=StructuredGain("L", Lb),
-        P_blocks=P,
-        H_blocks=Hb,
-        H_eigvals=wH,
-        P_eigvals=wP,
-        feasible=feasible,
-        violating_stage=stage,
-        lam_min=lam_bad,
-    )
+    return BestResponse(L=StructuredGain("L", Lb), P_blocks=P, H_blocks=Hb, H_eigvals=wH,
+                        P_eigvals=wP, feasible=feasible, violating_stage=stage, lam_min=lam_bad)
+
+
+def best_response_L(game: LqGame, K: StructuredGain) -> BestResponse:
+    """Exact inner maximization via the stage-wise Riccati recursion.
+
+    Returns ``feasible=False`` (never raises or warns) when some stage margin
+    Rw - D'PD fails to be positive definite, the value recursion leaves the
+    PSD cone, or a margin or value block is not finite (``lam_min`` is then
+    NaN).  ||H||_2 and ||P||_2 are the largest |eigenvalue| of the blocks.
+    A failed test, or a solve that raises, in the unchecked pass reruns the
+    recursion checked per stage, whose report is returned.
+    """
+    with np.errstate(all="ignore"):
+        try:
+            br = _best_response_pass(game, K, checked=False)
+            if br.feasible:
+                return br
+        except np.linalg.LinAlgError:
+            pass
+        return _best_response_pass(game, K, checked=True)
 
 
 def feasible_best_response(game: LqGame, K: StructuredGain,
@@ -238,11 +258,6 @@ def feasible_best_response(game: LqGame, K: StructuredGain,
     if not br.feasible:
         raise NashInfeasibleError(br.violating_stage or 0, br.lam_min or 0.0, gain=name)
     return br
-
-
-def primal_value(game: LqGame, K: StructuredGain) -> float:
-    """G(K, L(K)): the objective after exact inner maximization."""
-    return expected_cost(game, feasible_best_response(game, K).P_blocks)
 
 
 @dataclass(frozen=True)
@@ -303,7 +318,8 @@ def solve_nash(game: LqGame) -> NashSolution:
     Kstar = StructuredGain("K", Kb)
     Lstar = StructuredGain("L", Lb)
     value = expected_cost(g, P)
-    F, E = natural_gradients(g, Kstar, Lstar, P)
+    F = natural_gradients(g, Kstar, Lstar, "K", P)
+    E = natural_gradients(g, Kstar, Lstar, "L", P)
     resF, resE = F.frobenius_norm(), E.frobenius_norm()
     if max(resF, resE) > 1e-8 * (1.0 + abs(value)):
         raise np.linalg.LinAlgError(

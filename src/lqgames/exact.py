@@ -99,8 +99,7 @@ def inner_npg_exact(game: LqGame, K: StructuredGain, L0: StructuredGain,
         gaps.append(opt_val - certify.expected_cost(game, P))
         if k == limit or (gap_mode and gaps[-1] <= config.eps1):
             break
-        _, E = certify.natural_gradients(game, K, L, P)
-        L = L + E.scale(config.tau1)
+        L = L + certify.natural_gradients(game, K, L, "L", P).scale(config.tau1)
     if gap_mode and gaps[-1] > config.eps1:
         raise InnerLoopError(
             f"inner loop failed to reach gap {config.eps1:g} in {limit} iterations "
@@ -189,8 +188,7 @@ def outer_npg_exact(game: LqGame, K0: StructuredGain,
             L, P = br.L, br.P_blocks
         else:
             L, _, P = inner_npg_exact(game, K, zero_gain(game, "L"), config, br)
-        F, _ = certify.natural_gradients(game, K, L, P)
-        return F, None
+        return certify.natural_gradients(game, K, L, "K", P), None
 
     return _outer_descent(game, K0, exact_step, config.T, config.tau2, nash_value,
                           stop_gap=config.stop_gap)

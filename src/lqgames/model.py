@@ -22,6 +22,8 @@ NoiseKind = Literal["truncated-gaussian", "scaled-uniform", "deterministic-zero"
 
 # Numerical tolerance for symmetry / definiteness validation of inputs.
 _SYM_TOL = 1e-10
+# redraw rounds before a truncated-Gaussian bound counts as too tight: 2^-100 odds at 50% rejection
+_REDRAW_ROUNDS = 100
 
 
 class ModelError(ValueError):
@@ -144,6 +146,7 @@ class NoiseModel:
         noises xi_0..xi_{N-1}.  Blocks are drawn one after another from
         ``rng`` as (count, m) arrays, each with its rejection redraws before
         the next block, and written as ``factor @ z.T`` into ``out[i]``.
+        Raises ModelError for a sample still rejected after ``_REDRAW_ROUNDS``.
         """
         n_blocks, m, _ = self.covariance_blocks.shape
         out = np.empty((n_blocks, m, count))
@@ -157,7 +160,14 @@ class NoiseModel:
                 np.matmul(factor, rng.standard_normal((count, m)).T, out=block)
                 bad = np.einsum("ic,ic->c", block, block) > bound_sq
                 # rejection loop; with the default bound this almost never runs
+                rounds = 0
                 while bad.any():
+                    if rounds == _REDRAW_ROUNDS:
+                        raise ModelError(
+                            f"truncated-Gaussian noise bound {self.bound:g} still rejects a "
+                            f"sample after {rounds} redraws; the bound is too tight for the "
+                            "noise covariance")
+                    rounds += 1
                     block[:, bad] = factor @ rng.standard_normal((int(bad.sum()), m)).T
                     bad = np.einsum("ic,ic->c", block, block) > bound_sq
             else:  # scaled-uniform: unit-variance uniform coordinates

@@ -88,9 +88,16 @@ def full_closed_loop(game: LqGame, K: StructuredGain, L: StructuredGain) -> np.n
     return full
 
 
-def full_Sigma0(game: LqGame) -> np.ndarray:
-    """Lifted noise covariance: x_0 and the stage noises on the diagonal."""
-    return _block_diag(game.noise.covariance_blocks)
+def full_Sigma(game: LqGame, K: StructuredGain, L: StructuredGain) -> np.ndarray:
+    """Lifted state second moment: the (finite, by nilpotency) Lyapunov series
+    of the closed loop over the lifted noise covariance."""
+    Acl = full_closed_loop(game, K, L)
+    term = _block_diag(game.noise.covariance_blocks)
+    Sigma = np.zeros_like(term)
+    for _ in range(game.horizon + 1):
+        Sigma += term
+        term = Acl @ term @ Acl.T
+    return Sigma
 
 
 # ---------------------------------------------------------------------------
@@ -100,9 +107,8 @@ def full_Sigma0(game: LqGame) -> np.ndarray:
 def analytic_gradient(game: LqGame, K: StructuredGain, L: StructuredGain,
                       side: Literal["K", "L"]) -> StructuredGain:
     """Raw objective gradient 2 F_h Sigma_h (or 2 E_h Sigma_h) per stage."""
-    F, E = certify.natural_gradients(game, K, L)
+    G = certify.natural_gradients(game, K, L, side)
     S = certify.covariance_blocks(game, K, L)
-    G = F if side == "K" else E
     return StructuredGain(side, 2.0 * G.blocks @ S[:-1])
 
 
@@ -131,40 +137,15 @@ def finite_diff_gradient(game: LqGame, K: StructuredGain, L: StructuredGain,
 def brute_force_value_oracle(game: LqGame, K: StructuredGain, L: StructuredGain) -> float:
     """Objective via dense lifted arithmetic; independent of the stage path.
 
-    Builds the full closed-loop and cost operators, sums the (finite, by
-    nilpotency) Lyapunov series for the lifted state second moment, and
-    returns Tr(M Sigma).  Capped at lifted dimension 64.
+    Builds the full cost operator M and the lifted state second moment
+    (``full_Sigma``), and returns Tr(M Sigma).  Capped at lifted dimension 64.
     """
     dim = game.m * (game.horizon + 1)
     if dim > BRUTE_FORCE_DIM_CAP:
         raise ValueError(f"lifted dimension {dim} exceeds brute-force cap {BRUTE_FORCE_DIM_CAP}")
     Kf, Lf = full_gain(K), full_gain(L)
     M = _block_diag(game.Q) + Kf.T @ _block_diag(game.Ru) @ Kf - Lf.T @ _block_diag(game.Rw) @ Lf
-    Acl = full_closed_loop(game, K, L)
-    noise_cov = full_Sigma0(game)
-    Sigma = np.zeros((dim, dim))
-    term = noise_cov.copy()
-    for _ in range(game.horizon + 1):
-        Sigma += term
-        term = Acl @ term @ Acl.T
-    return float(np.trace(M @ Sigma))
-
-
-def lqr_cost_oracle(game: LqGame) -> float:
-    """Classical finite-horizon LQR cost by dynamic programming (D ignored).
-
-    Separate code path used to cross-check solve_nash when the disturbance
-    channel vanishes.
-    """
-    g = game
-    N = g.horizon
-    Ps = [g.Q[N]]
-    for h in range(N - 1, -1, -1):
-        BtP = g.B[h].T @ Ps[0]
-        K = np.linalg.solve(g.Ru[h] + BtP @ g.B[h], BtP @ g.A[h])
-        P = g.Q[h] + g.A[h].T @ Ps[0] @ (g.A[h] - g.B[h] @ K)
-        Ps.insert(0, 0.5 * (P + P.T))
-    return sum(float(np.trace(P_h @ cov)) for P_h, cov in zip(Ps, g.noise.covariance_blocks))
+    return float(np.trace(M @ full_Sigma(game, K, L)))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +171,7 @@ def check_descent(game: LqGame, K_t: StructuredGain, K_next: StructuredGain,
         br_next = certify.feasible_best_response(game, K_next)
     val_t = certify.expected_cost(game, br.P_blocks)
     val_next = certify.expected_cost(game, br_next.P_blocks)
-    F, _ = certify.natural_gradients(game, K_t, br.L, br.P_blocks)
+    F = certify.natural_gradients(game, K_t, br.L, "K", br.P_blocks)
     lhs = val_next - val_t
     rhs = tau2 * slack - (tau2 * phi / 4.0) * F.frobenius_norm() ** 2
     tol = 1e-12 * (1.0 + abs(val_t))
@@ -210,7 +191,7 @@ def check_gradient_domination(game: LqGame, K: StructuredGain, nash_value: float
     """
     br = certify.feasible_best_response(game, K)
     gap = certify.expected_cost(game, br.P_blocks) - nash_value
-    F, _ = certify.natural_gradients(game, K, br.L, br.P_blocks)
+    F = certify.natural_gradients(game, K, br.L, "K", br.P_blocks)
     trF2 = F.frobenius_norm() ** 2
     at_optimum = gap <= 1e-8 * (1.0 + abs(nash_value))
     violated = trF2 <= 1e-16 and not at_optimum
@@ -299,13 +280,7 @@ def _check_ordering(game, K, L, tol=1e-9) -> tuple[bool, float]:
 
 def _check_lyapunov_sum(game, K, L, tol=1e-12) -> tuple[bool, float]:
     """Dense nilpotent Lyapunov series matches the stage covariance recursion."""
-    Acl = full_closed_loop(game, K, L)
-    noise_cov = full_Sigma0(game)
-    Sigma = np.zeros_like(noise_cov)
-    term = noise_cov.copy()
-    for _ in range(game.horizon + 1):
-        Sigma += term
-        term = Acl @ term @ Acl.T
+    Sigma = full_Sigma(game, K, L)
     ref = _block_diag(certify.covariance_blocks(game, K, L))
     err = float(np.abs(Sigma - ref).max()) / (1.0 + float(np.abs(ref).max()))
     return err <= tol, err
@@ -330,7 +305,7 @@ def _check_value_difference(game, K, K2, L, tol=1e-9) -> tuple[bool, float]:
     """
     g = game
     P = certify.value_blocks(game, K, L)
-    F, _ = certify.natural_gradients(game, K, L, P)
+    F = certify.natural_gradients(game, K, L, "K", P)
     S2 = certify.covariance_blocks(game, K2, L)
     total = 0.0
     for h in range(g.horizon):
@@ -396,7 +371,7 @@ def run_property_suite(seed: int = 0, instances: int = 20,
     br = certify.feasible_best_response(game, K)
     worst = -np.inf
     for t in range(19):  # the steps between the 20 iterates
-        F, _ = certify.natural_gradients(game, K, br.L, br.P_blocks)
+        F = certify.natural_gradients(game, K, br.L, "K", br.P_blocks)
         K_next = K - F.scale(tau2)
         br_next = certify.feasible_best_response(game, K_next)
         rep = check_descent(game, K, K_next, tau2, seed=seed, instance=f"scalar-exact t={t}",

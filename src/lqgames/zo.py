@@ -248,10 +248,15 @@ def _estimate_step(game: LqGame, K: StructuredGain, L: StructuredGain,
                     f"covariance gate failed twice (phi/2 = {game.noise.phi / 2:g})")
             grad = zo_gradient(game, K, L, side, r, count, ahead.take(cost_stream, side, count))
             samples += 2 * count
+            try:
+                step = natural_step(grad, cov)
+            except np.linalg.LinAlgError:
+                raise DivergenceError(f"the covariance estimate for a step on {side} is singular; "
+                                      "likely cause: the inner ascent on L diverged") from None
             # the raw gradient is 2 F Sigma, so the natural-gradient direction
             # matching the exact solver's F/E updates is half the preconditioned
             # estimate
-            return natural_step(grad, cov).scale(0.5), gate_hits, samples
+            return step.scale(0.5), gate_hits, samples
     raise AssertionError("unreachable")
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo references that only the tests read."""
+"""Monte Carlo and dynamic-programming references that only the tests read."""
 
 import math
 
@@ -44,3 +44,25 @@ def smoothed_objective_fd(game, K, L, side, r, count, rng):
             val = certify.objective(game, K, L + pert)
         acc += val * U[..., i]
     return StructuredGain(side, (dim / r) * acc / count)
+
+
+def primal_value(game, K):
+    """G(K, L(K)): the objective after exact inner maximization."""
+    return certify.expected_cost(game, certify.feasible_best_response(game, K).P_blocks)
+
+
+def lqr_cost_oracle(game):
+    """Classical finite-horizon LQR cost by dynamic programming (D ignored).
+
+    Separate code path used to cross-check solve_nash when the disturbance
+    channel vanishes.
+    """
+    g = game
+    N = g.horizon
+    Ps = [g.Q[N]]
+    for h in range(N - 1, -1, -1):
+        BtP = g.B[h].T @ Ps[0]
+        K = np.linalg.solve(g.Ru[h] + BtP @ g.B[h], BtP @ g.A[h])
+        P = g.Q[h] + g.A[h].T @ Ps[0] @ (g.A[h] - g.B[h] @ K)
+        Ps.insert(0, 0.5 * (P + P.T))
+    return sum(float(np.trace(P_h @ cov)) for P_h, cov in zip(Ps, g.noise.covariance_blocks))

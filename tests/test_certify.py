@@ -1,8 +1,12 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import lqr_cost_oracle, primal_value
 from lqgames import certify, verify
 from lqgames.model import (LqGame, StructuredGain, benchmark_game,
                            benchmark_initial_gain, isotropic_noise, lift_gain,
@@ -61,7 +65,8 @@ def test_objective_dual_identity(bench):
 
 def test_natural_gradients_scalar(scalar):
     K, L = k_half(), zero_gain(scalar, "L")
-    F, E = certify.natural_gradients(scalar, K, L)
+    F = certify.natural_gradients(scalar, K, L, "K")
+    E = certify.natural_gradients(scalar, K, L, "L")
     # k = 0.5 is the best response to l = 0: (1+1)*0.5 - 1*1*1 = 0
     assert F.blocks[0] == pytest.approx(np.array([[0.0]]))
     assert E.blocks[0] == pytest.approx(np.array([[-0.25]]))
@@ -114,7 +119,7 @@ def test_infeasible_reported_without_exception():
     with pytest.raises(certify.NashInfeasibleError):
         certify.feasible_best_response(g, k_half())
     with pytest.raises(certify.NashInfeasibleError):
-        certify.primal_value(g, k_half())
+        primal_value(g, k_half())
 
 
 def test_solve_nash_scalar(scalar):
@@ -122,9 +127,8 @@ def test_solve_nash_scalar(scalar):
     assert sol.Pstar_blocks[0][0, 0] == pytest.approx(1.0 + 1.0 / 1.95)
     assert sol.value == pytest.approx(2.5128205128205128)
     assert sol.margin == pytest.approx(4.75)
-    F, E = certify.natural_gradients(scalar, sol.Kstar, sol.Lstar)
-    assert F.frobenius_norm() <= 1e-10
-    assert E.frobenius_norm() <= 1e-10
+    for side in ("K", "L"):
+        assert certify.natural_gradients(scalar, sol.Kstar, sol.Lstar, side).frobenius_norm() <= 1e-10
 
 
 def test_solve_nash_benchmark(bench):
@@ -162,7 +166,7 @@ def test_lqr_reduction():
     g = time_invariant_game(A, B, np.zeros((2, 2)), np.eye(2), np.eye(2),
                             5 * np.eye(2), horizon=3, noise=isotropic_noise(2, 3))
     sol = certify.solve_nash(g)
-    assert sol.value == pytest.approx(verify.lqr_cost_oracle(g), abs=1e-10)
+    assert sol.value == pytest.approx(lqr_cost_oracle(g), abs=1e-10)
     for b in sol.Lstar.blocks:
         assert np.allclose(b, 0.0, atol=1e-12)
 
@@ -202,7 +206,7 @@ def test_primal_dominates_any_pair(seed):
     br = certify.best_response_L(g, K)
     if not br.feasible:
         return
-    assert certify.objective(g, K, L) <= certify.primal_value(g, K) + 1e-10
+    assert certify.objective(g, K, L) <= primal_value(g, K) + 1e-10
 
 
 @settings(max_examples=20, deadline=None)
@@ -295,10 +299,9 @@ def test_stacked_oracles_match_per_stage_loop():
         P = certify.value_blocks(g, K, L)
         _assert_close(P, _plain_value_blocks(g, K, L))
         _assert_close(certify.covariance_blocks(g, K, L), _plain_covariance_blocks(g, K, L))
-        F, E = certify.natural_gradients(g, K, L, P)
         F_ref, E_ref = _plain_natural_gradients(g, K, L, P)
-        _assert_close(F.blocks, F_ref)
-        _assert_close(E.blocks, E_ref)
+        _assert_close(certify.natural_gradients(g, K, L, "K", P).blocks, F_ref)
+        _assert_close(certify.natural_gradients(g, K, L, "L", P).blocks, E_ref)
         br = certify.best_response_L(g, K)
         assert br.feasible
         L_ref, P_ref, H_ref = _plain_best_response(g, K)
@@ -307,6 +310,99 @@ def test_stacked_oracles_match_per_stage_loop():
         _assert_close(br.H_blocks, H_ref)
         _assert_close(br.H_eigvals, np.array([np.linalg.eigvalsh(h) for h in H_ref]))
         _assert_close(br.P_eigvals, np.array([np.linalg.eigvalsh(p) for p in P_ref]))
+
+
+def _optimistic_pass(g, K):
+    """The unchecked pass of best_response_L, or None where its solve raises."""
+    with np.errstate(all="ignore"):
+        try:
+            return certify._best_response_pass(g, K, checked=False)
+        except np.linalg.LinAlgError:
+            return None
+
+
+def _assert_same_response(a, b):
+    """Every BestResponse field bitwise equal, NaN equal to NaN."""
+    for field in dataclasses.fields(certify.BestResponse):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "L":
+            x, y = x.blocks, y.blocks
+        if isinstance(x, np.ndarray):
+            assert x.shape == y.shape and np.array_equal(x, y, equal_nan=True), field.name
+        else:
+            assert x == y or (x != x and y != y), (field.name, x, y)
+
+
+def _feasible_gains():
+    rng = np.random.default_rng(11)
+    g = benchmark_game()
+    h10 = time_invariant_game(g.A[0], g.B[0], g.D[0], g.Q[0], g.Ru[0], g.Rw[0], horizon=10,
+                              noise=isotropic_noise(3, 10, sigma=0.05))
+    games = [g, h10] + [verify.random_game(rng, m=m, d=d, n=n, horizon=N)
+                        for m, d, n, N in ((1, 1, 1, 1), (2, 1, 3, 4), (3, 2, 1, 6))]
+    for game in games:
+        Kstar = certify.solve_nash(game).Kstar
+        for scale in (0.01, 0.1, 0.3, 1.0):
+            for _ in range(25):
+                yield game, verify.random_feasible_gain(game, Kstar, rng, scale)
+
+
+def _failing_gains():
+    g = benchmark_game()
+    # AK = 0 at stage 2 and a large K at stage 3: only the stage-2 margin fails
+    blocks = np.array(benchmark_initial_gain().blocks)
+    blocks[3] += 3.0
+    blocks[2] = np.linalg.solve(g.B[2], g.A[2])
+    yield "middle-stage", g, StructuredGain("K", blocks), 2
+    for value in (np.nan, np.inf, -np.inf, 1e200):
+        blocks = np.array(benchmark_initial_gain().blocks)
+        blocks[2, 0, 1] = value
+        yield f"entry-{value}", g, StructuredGain("K", blocks), None
+    # Rw_1 - D_1' Q_2 D_1 = diag(0, 1) exactly: the optimistic solve raises
+    eye = np.eye(2)
+    singular = LqGame(A=[eye, eye], B=[eye, eye], D=[eye, eye],
+                      Q=[eye, eye, np.diag([1.0, 2.0])], Ru=[eye, eye],
+                      Rw=[np.diag([3.0, 9.0]), np.diag([1.0, 3.0])],
+                      noise=isotropic_noise(2, 2))
+    yield "singular-margin", singular, zero_gain(singular, "K"), 1
+
+
+def _silent_best_response(g, K):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        br = certify.best_response_L(g, K)
+    assert not caught, [str(w.message) for w in caught]
+    return br
+
+
+def test_optimistic_best_response_matches_checked_pass_bitwise():
+    count = 0
+    for g, K in _feasible_gains():
+        fast = _optimistic_pass(g, K)
+        assert fast is not None and fast.feasible
+        checked = certify._best_response_pass(g, K, checked=True)
+        _assert_same_response(fast, checked)
+        _assert_same_response(_silent_best_response(g, K), checked)
+        count += 1
+    assert count == 500
+
+
+_FAILING = list(_failing_gains())
+
+
+@pytest.mark.parametrize("case, g, K, stage", _FAILING, ids=[c[0] for c in _FAILING])
+def test_failed_test_replays_checked_pass(case, g, K, stage):
+    fast = _optimistic_pass(g, K)
+    assert fast is None or not fast.feasible
+    br = _silent_best_response(g, K)
+    with np.errstate(all="ignore"):
+        checked = certify._best_response_pass(g, K, checked=True)
+    _assert_same_response(br, checked)
+    assert not br.feasible
+    if stage is None:
+        assert np.isnan(br.lam_min)
+    else:
+        assert br.violating_stage == stage and br.lam_min <= 0.0
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200])

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lqgames import cli
 from lqgames.model import (LqGame, benchmark_game, game_to_dict, isotropic_noise,
-                           save_game)
+                           save_game, scalar_demo_game)
 
 
 def write_config(tmp_path, **doc):
@@ -276,6 +276,119 @@ def test_nash_malformed_game_file_is_config_error(tmp_path, capsys, path, value)
     assert not (tmp_path / "o" / "nash.json").exists()
 
 
+_GAME_DOCS = {"benchmark": game_to_dict(benchmark_game()),
+              "scalar": game_to_dict(scalar_demo_game())}
+_MATRIX_KEYS = ("A", "B", "D", "Q", "Ru", "Rw")
+
+
+def _get(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _matrix_paths(doc):
+    """Paths of every matrix of a game document."""
+    return ([("stages", h, k) for h in range(len(doc["stages"])) for k in _MATRIX_KEYS]
+            + [("terminal_Q",)]
+            + [("noise", "covariance_blocks", i)
+               for i in range(len(doc["noise"]["covariance_blocks"]))])
+
+
+def _ragged(doc, draw):
+    how = draw(st.sampled_from(["short-row", "extra-column", "extra-row", "flat",
+                                "drop-stage", "extra-stage", "drop-covariance"]))
+    if how == "drop-stage":
+        doc["stages"].pop()
+    elif how == "extra-stage":
+        doc["stages"].append(doc["stages"][0])
+    elif how == "drop-covariance":
+        doc["noise"]["covariance_blocks"].pop()
+    else:
+        path = draw(st.sampled_from(_matrix_paths(doc)))
+        mat = _get(doc, path)
+        if how == "short-row":
+            mat[-1] = mat[-1][:-1]
+        elif how == "extra-column":
+            for row in mat:
+                row.append(0.0)
+        elif how == "extra-row":
+            mat.append(list(mat[0]))
+        else:
+            _get(doc, path[:-1])[path[-1]] = mat[0]
+
+
+def _missing_key(doc, draw):
+    paths = ([(k,) for k in doc] + [("stages", 0, k) for k in _MATRIX_KEYS]
+             + [("noise", k) for k in ("kind", "covariance_blocks", "bound")])
+    path = draw(st.sampled_from(paths))
+    del _get(doc, path[:-1])[path[-1]]
+
+
+def _fixed_state_without_zero_noise(doc, draw):
+    doc["noise"]["fixed_initial_state"] = [1.0] * len(doc["terminal_Q"])
+    doc["noise"]["kind"] = draw(st.sampled_from(["truncated-gaussian", "scaled-uniform"]))
+
+
+def _indefinite(doc, draw):
+    paths = [p for p in _matrix_paths(doc) if p[-1] in ("Ru", "Rw") or p[0] == "noise"]
+    mat = _get(doc, draw(st.sampled_from(paths)))
+    diag = draw(st.sampled_from([-1.0, 0.0, -1e-3]))
+    for i, row in enumerate(mat):
+        row[:] = [0.0] * len(row)
+        row[i] = diag if i == len(mat) - 1 else 1.0
+
+
+def _wrong_type(doc, draw):
+    paths = ([(k,) for k in doc] + [("stages", 0), ("stages", 0, "A"), ("stages", 0, "A", 0),
+                                    ("stages", 0, "Rw", 0, 0), ("terminal_Q", 0, 0)]
+             + [("noise", k) for k in ("kind", "covariance_blocks", "bound")]
+             + [("noise", "covariance_blocks", 0, 0)])
+    path = draw(st.sampled_from(paths))
+    _get(doc, path[:-1])[path[-1]] = draw(st.sampled_from(["x", None, {}, {"a": 1}, [], [["x"]]]))
+
+
+def _non_finite(doc, draw):
+    value = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    target = draw(st.sampled_from(["entry", "bound", "horizon"]))
+    if target == "entry":
+        mat = _get(doc, draw(st.sampled_from(_matrix_paths(doc))))
+        mat[draw(st.integers(0, len(mat) - 1))][0] = value
+    else:
+        _get(doc, ("noise",) if target == "bound" else ())[target] = value
+
+
+@st.composite
+def _bad_game_docs(draw):
+    """A saved game document with one or two distinct defects, none of which undoes another."""
+    doc = json.loads(json.dumps(_GAME_DOCS[draw(st.sampled_from(sorted(_GAME_DOCS)))]))
+    corruptions = [_ragged, _missing_key, _fixed_state_without_zero_noise, _indefinite,
+                   _wrong_type, _non_finite]
+    for i, corrupt in enumerate(draw(st.lists(st.sampled_from(corruptions), min_size=1,
+                                              max_size=2, unique=True))):
+        try:
+            corrupt(doc, draw)
+        except (KeyError, IndexError, TypeError, AttributeError):
+            assert i > 0  # a second defect may not fit the first one's document
+    return doc
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_bad_game_docs())
+def test_fuzzed_game_document_is_config_error(capsys, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        game_path = Path(tmp) / "game.json"
+        game_path.write_text(json.dumps(doc))
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps({"game": str(game_path), "mode": "nash"}))
+        rc = cli.main(["nash", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
+        assert not (Path(tmp) / "o" / "nash.json").exists()
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG, (doc, err)
+    assert err.startswith("config error") and err.count("\n") == 1, (doc, err)
+
+
 def test_run_nonfinite_iterate_is_divergence(tmp_path, capsys):
     # desk radii with a small batch: an iterate jumps to non-finite values
     cfg = write_config(tmp_path, mode="zo-npg", seeds=[0], out=str(tmp_path / "o"),
@@ -288,6 +401,35 @@ def test_run_nonfinite_iterate_is_divergence(tmp_path, capsys):
     assert "iterate 2 is not finite" in err
     assert "tau2=0.000467" in err and "M1=300, M2=300" in err
     assert (tmp_path / "o" / "trace_seed0.csv").exists()  # partial trace kept
+
+
+def test_run_tight_noise_bound_is_config_error(tmp_path, capsys):
+    # a truncated-Gaussian bound that rejects every draw ends the run with one
+    # line instead of redrawing forever
+    doc = game_to_dict(benchmark_game())
+    doc["noise"]["bound"] = 1e-9
+    game_path = tmp_path / "tight.json"
+    game_path.write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, game=str(game_path), mode="zo-npg", seeds=[0],
+                       initial_gain="benchmark", out=str(tmp_path / "o"),
+                       zo={"M1": 50, "M2": 50, "T": 1})
+    assert cli.main(["nash", "--config", cfg]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert cli.main(["run", "--config", cfg]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: truncated-Gaussian noise bound 1e-09") and err.count("\n") == 1, err
+
+
+def test_run_singular_covariance_is_divergence(tmp_path, capsys):
+    # batches of two or three: the inner ascent diverges and the outer step's
+    # covariance estimate is singular, which once escaped as a LinAlgError
+    cfg = write_config(tmp_path, mode="zo-npg", seeds=[0], out=str(tmp_path / "o"),
+                       zo={"r1": 2.0, "r2": 0.18, "M1": 2, "M2": 3, "tau1": 0.04,
+                           "tau2": 4.67e-4, "T_in": 2, "T": 1})
+    assert cli.main(["run", "--config", cfg]) == cli.EXIT_DIVERGENCE
+    err = capsys.readouterr().err
+    assert err.startswith("divergence") and err.count("\n") == 1, err
+    assert "the covariance estimate for a step on K is singular" in err
 
 
 @pytest.mark.parametrize("mode, section, params, code, message", [

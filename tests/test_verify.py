@@ -41,7 +41,8 @@ def test_analytic_gradient_is_2FSigma():
     g = scalar_demo_game()
     K = lift_gain([np.array([[0.7]])], "K")
     L = lift_gain([np.array([[0.1]])], "L")
-    F, E = certify.natural_gradients(g, K, L)
+    F = certify.natural_gradients(g, K, L, "K")
+    E = certify.natural_gradients(g, K, L, "L")
     S = certify.covariance_blocks(g, K, L)
     gK = verify.analytic_gradient(g, K, L, "K")
     assert gK.blocks[0] == pytest.approx(2 * F.blocks[0] * S[0][0, 0])
@@ -62,7 +63,7 @@ def test_descent_along_exact_run():
     K = lift_gain([np.array([[0.8]])], "K")
     br = certify.best_response_L(game, K)
     for _ in range(10):
-        F, _ = certify.natural_gradients(game, K, br.L)
+        F = certify.natural_gradients(game, K, br.L, "K")
         K_next = K - F.scale(0.05)
         rep = verify.check_descent(game, K, K_next, 0.05)
         assert rep.passed
