@@ -349,11 +349,15 @@ def game_to_dict(game: LqGame) -> dict:
 
 def game_from_dict(doc: dict) -> LqGame:
     try:
-        N = int(doc["horizon"])
+        N = doc["horizon"]
+        if isinstance(N, bool) or not isinstance(N, int):
+            raise ModelError(f"game document horizon must be an integer, got {N!r}")
         stages = doc["stages"]
         if len(stages) != N:
             raise ModelError(f"document declares horizon {N} but has {len(stages)} stages")
         noise_doc = doc["noise"]
+        if isinstance(noise_doc["bound"], bool):
+            raise ModelError(f"noise bound must be a number, got {noise_doc['bound']!r}")
         noise = NoiseModel(
             kind=noise_doc["kind"],
             covariance_blocks=noise_doc["covariance_blocks"],

@@ -1,10 +1,10 @@
 """Seeded stochastic trajectory engine for the model-free setting.
 
 Rollouts follow x_{h+1} = (A_h - B_h K_h - D_h L_h) x_h + xi_h.  All batch
-operations draw from counter-based Philox streams addressed by explicit
-indices, so results are bit-reproducible for a fixed seed regardless of how
-work is scheduled: a stream's normals may be drawn ahead on another thread
-(``PrefetchedNormals``) without changing any draw.
+operations draw from SFC64 streams addressed by explicit indices, so results
+are bit-reproducible for a fixed seed regardless of how work is scheduled: a
+stream's normals may be drawn ahead on another thread (``PrefetchedNormals``)
+without changing any draw.
 """
 
 from __future__ import annotations
@@ -19,10 +19,13 @@ from .model import LqGame, StructuredGain
 
 @dataclass(frozen=True)
 class RngStream:
-    """A named, counter-based random stream.
+    """A named random stream: SFC64 seeded by ``SeedSequence(seed, spawn_key=indices)``.
 
     Identical (seed, indices) always produce bit-identical draws; distinct
-    index tuples give statistically independent streams.
+    index tuples give statistically independent streams, because SeedSequence
+    hashes the spawn key into the generator's whole initial state.  SFC64
+    draws a normal faster than Philox or PCG64; changing it changes every
+    draw.
     """
 
     seed: int
@@ -30,7 +33,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=self.indices)
-        return np.random.Generator(np.random.Philox(seq))
+        return np.random.Generator(np.random.SFC64(seq))
 
     def child(self, *indices: int) -> "RngStream":
         return RngStream(self.seed, self.indices + tuple(indices))

@@ -22,7 +22,9 @@ from .model import LqGame, StructuredGain, zero_gain
 from .sim import PrefetchedNormals, RngStream, batch_rollout, mean_covariance_blocks
 from .trace import RunTrace
 
-# stream purpose indices: keep stable so runs are reproducible across versions
+# stream purpose indices: keep stable so runs are reproducible across versions.
+# The bit generator is part of that contract too: ZO traces made before the
+# streams moved from Philox to SFC64 are not reproduced by this version.
 _COST, _COV = 0, 1
 
 

@@ -46,6 +46,56 @@ def smoothed_objective_fd(game, K, L, side, r, count, rng):
     return StructuredGain(side, (dim / r) * acc / count)
 
 
+def smoothed_gradient(game, K, L, side, r):
+    """Gradient of the r-smoothed objective, (dim / r) E_u[G(gain + r u) u], by exact quadrature.
+
+    For a gain side of total dimension 3, so u is uniform on S^2.  Its height
+    z is then uniform on [-1, 1], so 4 Gauss-Legendre nodes in z times 16
+    equispaced azimuths give the mean of every polynomial in u of degree <= 7
+    exactly: the result is exact whenever G is a polynomial of degree <= 6 in
+    the gain, as on a scalar game with deterministic noise and horizon 3.
+    """
+    p, m, dim = gain_dims(game, side)
+    if dim != 3:
+        raise ValueError(f"the quadrature covers a gain of dimension 3, got {dim}")
+    z, wz = np.polynomial.legendre.leggauss(4)
+    phi = 2.0 * np.pi * np.arange(16) / 16
+    rho = np.sqrt(1.0 - z * z)[:, None]
+    nodes = np.stack([rho * np.cos(phi), rho * np.sin(phi), np.repeat(z[:, None], 16, axis=1)],
+                     axis=-1).reshape(-1, 3)
+    weights = np.repeat(wz / 2.0, 16) / 16
+    acc = np.zeros(dim)
+    for u, w in zip(nodes, weights):
+        pert = StructuredGain(side, (r * u).reshape(game.horizon, p, m))
+        val = (certify.objective(game, K + pert, L) if side == "K"
+               else certify.objective(game, K, L + pert))
+        acc += w * val * u
+    return StructuredGain(side, ((dim / r) * acc).reshape(game.horizon, p, m))
+
+
+def zo_gradient_samples(game, K, L, side, r, count, rng):
+    """The terms (dim / r) cost_c U_c that ``zo_gradient`` averages, shape (dim, count).
+
+    Draws exactly what ``zo_gradient`` draws from ``rng``, so the mean over
+    samples matches it on a generator in the same state.
+    """
+    _, _, dim = gain_dims(game, side)
+    U = sample_unit_sphere(game, side, count, rng)
+    perturb = {"K_perturb": r * U} if side == "K" else {"L_perturb": r * U}
+    costs, _ = batch_rollout(game, K, L, count, rng, **perturb)
+    return (dim / r) * costs * U.reshape(dim, count)
+
+
+def first_index(predicate, limit=1000):
+    """The first i in range(limit) with ``predicate(i)``, or None.
+
+    A test that needs a random event, such as a stream whose first gate
+    attempt fails and second passes, searches stream indices for one instead
+    of pinning an index that holds for one bit generator only.
+    """
+    return next((i for i in range(limit) if predicate(i)), None)
+
+
 def primal_value(game, K):
     """G(K, L(K)): the objective after exact inner maximization."""
     return certify.expected_cost(game, certify.feasible_best_response(game, K).P_blocks)

@@ -11,9 +11,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from helpers import first_index
 from lqgames import cli
-from lqgames.model import (LqGame, benchmark_game, game_to_dict, isotropic_noise,
-                           save_game, scalar_demo_game)
+from lqgames.exact import DivergenceError
+from lqgames.model import (LqGame, benchmark_game, benchmark_initial_gain, game_to_dict,
+                           isotropic_noise, save_game, scalar_demo_game)
+from lqgames.zo import ZoConfig, outer_zo_npg
 
 
 def write_config(tmp_path, **doc):
@@ -358,12 +361,21 @@ def _non_finite(doc, draw):
         _get(doc, ("noise",) if target == "bound" else ())[target] = value
 
 
+def _lenient_number(doc, draw):
+    """A bool, text or float horizon, or a bool bound: values ``int`` and ``float`` once read."""
+    if draw(st.booleans()):
+        N = doc["horizon"]
+        doc["horizon"] = draw(st.sampled_from([N + 0.5, float(N), str(N), True, False]))
+    else:
+        doc["noise"]["bound"] = draw(st.booleans())
+
+
 @st.composite
 def _bad_game_docs(draw):
     """A saved game document with one or two distinct defects, none of which undoes another."""
     doc = json.loads(json.dumps(_GAME_DOCS[draw(st.sampled_from(sorted(_GAME_DOCS)))]))
     corruptions = [_ragged, _missing_key, _fixed_state_without_zero_noise, _indefinite,
-                   _wrong_type, _non_finite]
+                   _wrong_type, _non_finite, _lenient_number]
     for i, corrupt in enumerate(draw(st.lists(st.sampled_from(corruptions), min_size=1,
                                               max_size=2, unique=True))):
         try:
@@ -390,16 +402,16 @@ def test_fuzzed_game_document_is_config_error(capsys, doc):
 
 
 def test_run_nonfinite_iterate_is_divergence(tmp_path, capsys):
-    # desk radii with a small batch: an iterate jumps to non-finite values
+    # an overflowing stepsize: the first step takes the iterate to non-finite values
     cfg = write_config(tmp_path, mode="zo-npg", seeds=[0], out=str(tmp_path / "o"),
-                       zo={"r1": 2.0, "r2": 0.18, "M1": 300, "M2": 300, "tau1": 0.04,
-                           "tau2": 4.67e-4, "T_in": 10, "T": 60})
+                       zo={"r1": 2.0, "r2": 0.18, "M1": 2000, "M2": 2000, "tau1": 0.04,
+                           "tau2": 1e300, "T_in": 2, "T": 3})
     assert cli.main(["run", "--config", cfg]) == cli.EXIT_DIVERGENCE
     err = capsys.readouterr().err
     assert err.startswith("divergence") and err.count("\n") == 1
     # named as non-finite, with the stepsize and the batch as likely causes
-    assert "iterate 2 is not finite" in err
-    assert "tau2=0.000467" in err and "M1=300, M2=300" in err
+    assert "iterate 1 is not finite" in err
+    assert "tau2=1e+300" in err and "M1=2000, M2=2000" in err
     assert (tmp_path / "o" / "trace_seed0.csv").exists()  # partial trace kept
 
 
@@ -420,12 +432,24 @@ def test_run_tight_noise_bound_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: truncated-Gaussian noise bound 1e-09") and err.count("\n") == 1, err
 
 
+def _singular_outer_covariance(zo_doc, seed):
+    """Whether the run of ``zo_doc`` on the benchmark stops at a singular outer covariance."""
+    try:
+        outer_zo_npg(benchmark_game(), benchmark_initial_gain(), ZoConfig(seed=seed, **zo_doc))
+    except DivergenceError as exc:
+        return "the covariance estimate for a step on K is singular" in str(exc)
+    return False
+
+
 def test_run_singular_covariance_is_divergence(tmp_path, capsys):
-    # batches of two or three: the inner ascent diverges and the outer step's
-    # covariance estimate is singular, which once escaped as a LinAlgError
-    cfg = write_config(tmp_path, mode="zo-npg", seeds=[0], out=str(tmp_path / "o"),
-                       zo={"r1": 2.0, "r2": 0.18, "M1": 2, "M2": 3, "tau1": 0.04,
-                           "tau2": 4.67e-4, "T_in": 2, "T": 1})
+    # batches of two or three: on some seeds the inner ascent diverges and the
+    # outer step's covariance estimate is singular, which once escaped as a
+    # LinAlgError
+    zo_doc = {"r1": 2.0, "r2": 0.18, "M1": 2, "M2": 3, "tau1": 0.04, "tau2": 4.67e-4,
+              "T_in": 2, "T": 1}
+    seed = first_index(lambda s: _singular_outer_covariance(zo_doc, s))
+    assert seed is not None
+    cfg = write_config(tmp_path, mode="zo-npg", seeds=[seed], out=str(tmp_path / "o"), zo=zo_doc)
     assert cli.main(["run", "--config", cfg]) == cli.EXIT_DIVERGENCE
     err = capsys.readouterr().err
     assert err.startswith("divergence") and err.count("\n") == 1, err

@@ -27,6 +27,16 @@ def test_rng_stream_independent_indices():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed, indices", [(0, ()), (12, (0, 3)), (2**64 + 7, (1, 9, 0))])
+def test_rng_stream_draws_sfc64_of_its_seed_sequence(seed, indices):
+    # the bit generator fixes every ZO draw, so a change to it must fail here
+    got = sim.RngStream(seed, indices).generator()
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=indices)
+    ref = np.random.Generator(np.random.SFC64(seq))
+    assert np.array_equal(got.bit_generator.random_raw(64), ref.bit_generator.random_raw(64))
+    assert np.array_equal(got.standard_normal(1000), ref.standard_normal(1000))
+
+
 def test_rollout_deterministic_noise():
     # fixed x0 = 1, zero process noise: trajectory and cost are exact
     g = scalar_demo_game(deterministic=True)

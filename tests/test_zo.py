@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import smoothed_objective_fd
+from helpers import first_index, smoothed_objective_fd, zo_gradient_samples
 from lqgames import certify, zo
 from lqgames.exact import _outer_descent
 from lqgames.model import (NoiseModel, StructuredGain, benchmark_game,
@@ -190,12 +190,25 @@ def test_outer_zo_deterministic_for_seed():
 
 
 def test_smoothed_objective_reference_matches_estimator():
-    # exact-model MC reference and rollout estimator agree in expectation
+    # on the scalar game the L-sphere is {-1, +1}, so the r-smoothed gradient
+    # is exactly the central difference (G(L + r) - G(L - r)) / 2r of the model
+    # objective; the rollout estimator and the exact-model Monte Carlo
+    # reference each match it within three standard errors
     g = scalar_demo_game(deterministic=True)
-    K, L = k_half(), zero_gain(scalar_demo_game(), "L")
-    ref = smoothed_objective_fd(g, K, L, "L", 0.05, 50_000, RngStream(3).generator())
-    est = zo.zo_gradient(g, K, L, "L", 0.05, 200_000, RngStream(4).generator())
-    assert abs(ref.blocks[0][0, 0] - est.blocks[0][0, 0]) <= 0.05
+    K, L, r = k_half(), zero_gain(g, "L"), 0.05
+    plus, minus = (certify.objective(g, K, L + lift_gain([np.array([[s * r]])], side="L"))
+                   for s in (1.0, -1.0))
+    exact = (plus - minus) / (2 * r)
+    count = 200_000
+    samples = zo_gradient_samples(g, K, L, "L", r, count, RngStream(4).generator())[0]
+    est = zo.zo_gradient(g, K, L, "L", r, count, RngStream(4).generator())
+    assert est.blocks[0, 0, 0] == pytest.approx(samples.mean())
+    assert abs(samples.mean() - exact) <= 3.0 * samples.std(ddof=1) / np.sqrt(count)
+    # the reference averages G(L + r u) u / r over u = +-1, equally likely
+    count = 50_000
+    ref = smoothed_objective_fd(g, K, L, "L", r, count, RngStream(3).generator())
+    se = np.sqrt(((plus ** 2 + minus ** 2) / (2 * r * r) - exact ** 2) / count)
+    assert abs(ref.blocks[0, 0, 0] - exact) <= 3.0 * se
 
 
 def _serial_estimate_step(game, K, L, side, r, count, stream, policy):
@@ -222,6 +235,13 @@ def _serial_estimate_step(game, K, L, side, r, count, stream, policy):
         return zo.natural_step(grad, cov).scale(0.5), gate_hits, samples
 
 
+def _gate_fails(game, K, L, count, stream, attempt):
+    """Whether an attempt's covariance estimate fails the gate, drawn as in ``_estimate_step``."""
+    _, states = batch_rollout(game, K, L, count, stream.child(zo._COV, attempt).generator(),
+                              return_states=True)
+    return zo._apply_covariance_gate(game, mean_covariance_blocks(states), "reject-and-resample")[1]
+
+
 def _tiny_bound_game():
     """Truncated-Gaussian noise whose bound rejects about half the draws."""
     g = benchmark_game()
@@ -237,6 +257,7 @@ def test_estimate_step_matches_serial_draws(case, side):
     # the gradient stream's normals are drawn ahead on a helper thread; the
     # step, gate hits and sample counts stay bitwise those of serial draws
     g, count, stream, policy = benchmark_game(), 300, RngStream(12, (0, 3)), "regularize"
+    K, L = benchmark_initial_gain(), lift_gain([0.1 * np.ones((g.n, g.m))] * g.horizon, side="L")
     expect_hits = 0
     if case == "tiny-bound":
         g = _tiny_bound_game()
@@ -251,9 +272,12 @@ def test_estimate_step_matches_serial_draws(case, side):
     elif case == "count-1":
         count, expect_hits = 1, 1  # rank-one covariance: the gate regularizes
     else:
-        # the first attempt's covariance fails the gate, the second passes
-        count, stream, policy, expect_hits = 20, RngStream(12, (0, 1)), "reject-and-resample", 1
-    K, L = benchmark_initial_gain(), lift_gain([0.1 * np.ones((g.n, g.m))] * g.horizon, side="L")
+        # a stream whose first attempt's covariance fails the gate and whose second passes
+        count, policy, expect_hits = 20, "reject-and-resample", 1
+        k = first_index(lambda k: [_gate_fails(g, K, L, count, RngStream(12, (0, k)), attempt)
+                                   for attempt in range(2)] == [True, False])
+        assert k is not None
+        stream = RngStream(12, (0, k))
     step, hits, samples = zo._estimate_step(g, K, L, side, 0.2, count, stream, policy)
     ref, ref_hits, ref_samples = _serial_estimate_step(g, K, L, side, 0.2, count, stream, policy)
     assert np.array_equal(step.blocks, ref.blocks)
@@ -281,16 +305,32 @@ def _serial_outer_zo_npg(game, K0, cfg):
     return _outer_descent(game, K0, serial_step, cfg.T, cfg.tau2, None, batch=(cfg.M1, cfg.M2))
 
 
-@pytest.mark.parametrize("policy, M, seed", [
-    ("regularize", 200, 0),
-    # at this batch and seed one step's first attempt fails the gate, the second passes
-    ("reject-and-resample", 50, 21),
-])
-def test_outer_zo_npg_matches_serial_draws(policy, M, seed):
+def _completes_after_gate_hit(game, cfg):
+    """Whether a serial run ends without stopping, after some attempt failed the gate."""
+    try:
+        _, trace = _serial_outer_zo_npg(game, benchmark_initial_gain(), cfg)
+    except zo.CovarianceGateError:
+        return False
+    return trace.rows[-1].covariance_gate_hits > 0
+
+
+@pytest.mark.parametrize("policy", ["regularize", "reject-and-resample"])
+def test_outer_zo_npg_matches_serial_draws(policy):
     # every step's gradient stream is drawn one step ahead on a helper
     # thread; the iterate and the trace stay bitwise those of serial draws
     g = benchmark_game()
-    cfg = zo.ZoConfig(r1=2.0, r2=0.18, M1=M, M2=M, T_in=2, T=2, gate_policy=policy, seed=seed)
+    if policy == "regularize":
+        # desk radii at a stable batch: every covariance estimate passes the gate
+        cfg = zo.ZoConfig(r1=2.0, r2=0.18, M1=2000, M2=2000, T_in=2, T=2)
+    else:
+        # batches of 50 fail the gate now and then, and stepsizes 100x below
+        # desk keep the iterates feasible; take a seed where some step's first
+        # attempt fails and its second passes
+        cfg = zo.ZoConfig(r1=2.0, r2=0.18, M1=50, M2=50, tau1=4e-4, tau2=4.67e-6,
+                          T_in=2, T=2, gate_policy=policy)
+        seed = first_index(lambda s: _completes_after_gate_hit(g, dataclasses.replace(cfg, seed=s)))
+        assert seed is not None
+        cfg = dataclasses.replace(cfg, seed=seed)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the two threads as finely as the interpreter allows
     try:
@@ -310,9 +350,9 @@ def test_outer_zo_npg_matches_serial_draws(policy, M, seed):
 @pytest.mark.parametrize("case", ["ok", "divergence", "gate"])
 def test_outer_zo_npg_joins_its_helper(case, monkeypatch):
     g = benchmark_game()
-    cfg = {"ok": zo.ZoConfig(r1=2.0, r2=0.18, M1=200, M2=200, T_in=2, T=2),
-           # desk radii with a small batch: iterate 2 turns non-finite
-           "divergence": zo.ZoConfig(r1=2.0, r2=0.18, M1=300, M2=300, T=60),
+    cfg = {"ok": zo.ZoConfig(r1=2.0, r2=0.18, M1=2000, M2=2000, T_in=2, T=2),
+           # an overflowing stepsize: iterate 1 is not finite
+           "divergence": zo.ZoConfig(r1=2.0, r2=0.18, M1=2000, M2=2000, tau2=1e300, T_in=2, T=2),
            # M = 1 gives rank-one covariance blocks, so the gate fails both attempts
            "gate": zo.ZoConfig(M1=1, M2=1, T_in=1, T=1, gate_policy="reject-and-resample")}[case]
     before = threading.active_count()
