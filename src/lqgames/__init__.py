@@ -12,7 +12,7 @@ from .certify import (BestResponse, NashInfeasibleError, NashSolution,
 from .exact import DivergenceError, ExactSolverConfig, inner_npg_exact, outer_npg_exact
 from .model import (LqGame, ModelError, NoiseModel, StructuredGain,
                     benchmark_game, benchmark_initial_gain, deterministic_noise,
-                    isotropic_noise, lift_gain, load_game, resolve_game,
+                    isotropic_noise, load_game, resolve_game,
                     save_game, scalar_demo_game, time_invariant_game, zero_gain)
 from .sim import RngStream, batch_rollout
 from .trace import RunTrace, TraceRow
@@ -32,7 +32,7 @@ __all__ = [
     "brute_force_value_oracle", "certificate", "check_descent",
     "check_gradient_domination", "deterministic_noise",
     "feasible_best_response", "finite_diff_gradient", "in_Khat_set", "khat_bound",
-    "inner_npg_exact", "inner_zo_oracle", "isotropic_noise", "lift_gain",
+    "inner_npg_exact", "inner_zo_oracle", "isotropic_noise",
     "load_game", "natural_gradients", "objective",
     "outer_npg_exact", "outer_zo_npg", "resolve_game",
     "run_property_suite", "save_game", "scalar_demo_game", "solve_nash",

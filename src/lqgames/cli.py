@@ -31,7 +31,7 @@ from . import certify, verify
 from .exact import (DivergenceError, ExactSolverConfig, InnerLoopError, SolverStop,
                     outer_npg_exact)
 from .model import (LqGame, ModelError, StructuredGain, benchmark_initial_gain,
-                    lift_gain, resolve_game, zero_gain)
+                    reject_booleans, resolve_game, zero_gain)
 from .trace import RunTrace, fmt
 from .zo import CovarianceGateError, ZoConfig, outer_zo_npg
 
@@ -130,7 +130,8 @@ def _resolve_initial_gain(config: ExperimentConfig, game: LqGame) -> StructuredG
     if spec == "benchmark":
         K0 = benchmark_initial_gain()
     elif isinstance(spec, list):
-        K0 = lift_gain(spec, side="K")
+        reject_booleans(spec, "initial_gain")
+        K0 = StructuredGain("K", spec)
     else:
         raise ConfigError(f"initial_gain must be 'zero', 'benchmark' or a list of blocks, got {spec!r}")
     expected = (game.horizon, game.d, game.m)
@@ -219,9 +220,9 @@ def cmd_run(config: ExperimentConfig, out: Path, timings: bool) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: ExperimentConfig, out: Path, full: bool) -> int:
-    instances = config.verify_instances * (5 if full else 1)
-    reports = verify.run_property_suite(seed=config.verify_seed, instances=instances)
+def cmd_verify(config: ExperimentConfig, out: Path) -> int:
+    reports = verify.run_property_suite(seed=config.verify_seed,
+                                        instances=config.verify_instances)
     _make_dir(out)
     report_path = out / "verify_reports.jsonl"
     verify.write_reports(reports, report_path)
@@ -252,8 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="seed override (repeatable)")
     commands["run"].add_argument("--timings", action="store_true",
                                  help="include wall-clock timings in CSV artifacts")
-    commands["verify"].add_argument("--full", action="store_true",
-                                    help="enlarge the verification workload")
     return parser
 
 
@@ -268,7 +267,7 @@ def main(argv=None) -> int:
             if args.seed:
                 config = dataclasses.replace(config, seeds=tuple(args.seed))
             return cmd_run(config, out, args.timings)
-        return cmd_verify(config, out, args.full)
+        return cmd_verify(config, out)
     except (ConfigError, ModelError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

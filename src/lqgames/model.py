@@ -313,10 +313,6 @@ def zero_gain(game: LqGame, side: Literal["K", "L"]) -> StructuredGain:
     return StructuredGain(side, np.zeros((game.horizon, p, game.m)))
 
 
-def lift_gain(blocks, side: Literal["K", "L"]) -> StructuredGain:
-    return StructuredGain(side=side, blocks=blocks)
-
-
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
@@ -347,17 +343,26 @@ def game_to_dict(game: LqGame) -> dict:
     }
 
 
+def reject_booleans(value, where: str) -> None:
+    """Raise ModelError for a boolean anywhere in a JSON value: numpy reads one as 1.0 or 0.0."""
+    if isinstance(value, bool):
+        raise ModelError(f"{where} must be a number, got {json.dumps(value)}")
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        reject_booleans(item, f"{where}[{key!r}]")
+
+
 def game_from_dict(doc: dict) -> LqGame:
+    reject_booleans(doc, "game")  # no field of a game document is a boolean
     try:
         N = doc["horizon"]
-        if isinstance(N, bool) or not isinstance(N, int):
+        if not isinstance(N, int):
             raise ModelError(f"game document horizon must be an integer, got {N!r}")
         stages = doc["stages"]
         if len(stages) != N:
             raise ModelError(f"document declares horizon {N} but has {len(stages)} stages")
         noise_doc = doc["noise"]
-        if isinstance(noise_doc["bound"], bool):
-            raise ModelError(f"noise bound must be a number, got {noise_doc['bound']!r}")
         noise = NoiseModel(
             kind=noise_doc["kind"],
             covariance_blocks=noise_doc["covariance_blocks"],
@@ -422,7 +427,7 @@ def benchmark_initial_gain() -> StructuredGain:
     K = np.array([[-0.08, 0.35, 0.62],
                   [-0.21, 0.19, 0.32],
                   [-0.06, 0.10, 0.41]])
-    return lift_gain([K] * 5, side="K")
+    return StructuredGain("K", [K] * 5)
 
 
 def scalar_demo_game(sigma: float = 1.0, deterministic: bool = False) -> LqGame:

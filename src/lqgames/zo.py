@@ -10,8 +10,7 @@ the model, for the trace's gap, margin and anchored-set columns.
 from __future__ import annotations
 
 import contextlib
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Literal
 
@@ -120,7 +119,7 @@ def natural_step(grad: StructuredGain, cov_blocks: np.ndarray) -> StructuredGain
 
 
 class _DrawAhead:
-    """One helper thread that draws gradient-stream normals ahead of the steps that read them.
+    """One single-worker pool that draws gradient-stream normals ahead of the steps that read them.
 
     A step's gradient (COST) stream depends only on its indices, never on the
     iterate, so its leading normals can be drawn before the step runs, into
@@ -129,58 +128,48 @@ class _DrawAhead:
     one step's normals queues the next step's sphere directions, which the
     helper draws while this thread runs the gradient rollout; the next step
     queues its noise normals when it starts, once this step's buffers are
-    freed, and its covariance rollout overlaps them.  The helper starts on
-    the first request and calls only ``Generator.standard_normal(out=...)``;
-    leaving the ``with`` block joins it.
+    freed, and its covariance rollout overlaps them.  Buffers are allocated
+    on this thread; the helper thread starts on the first request and calls
+    only ``Generator.standard_normal(out=...)``, and a draw that raises there
+    raises again from ``take``.  Leaving the ``with`` block joins it.
     """
 
     def __init__(self, game: LqGame, steps=()):
         keys = [(stream.child(_COST, 0), side, count) for stream, side, count in steps]
         self._game = game
         self._next = dict(zip(keys, keys[1:]))
+        # key -> (generator, buffer sizes, futures of the buffers queued so far)
         self._queued: dict = {}
-        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread: threading.Thread | None = None
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="lqgames-draw-ahead")
 
     def __enter__(self) -> "_DrawAhead":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            self._jobs.put(None)
-            self._thread.join()
-            self._thread = None
+        self._pool.shutdown()
 
     def request(self, stream: RngStream, side: Literal["K", "L"], count: int,
                 parts: int = 2) -> None:
         """Queue the first ``parts`` buffers of ``stream``'s leading normals, if not queued yet."""
         key = (stream, side, count)
-        draw = self._queued.get(key)
-        if draw is None:
+        if key not in self._queued:
             _, _, dim = gain_dims(self._game, side)
-            draw = self._queued[key] = _Draw(
-                stream.generator(), (count * dim, count * self._game.noise.normals_per_sample))
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._run, name="lqgames-draw-ahead")
-            self._thread.start()
-        while len(draw.buffers) < parts:
+            self._queued[key] = (stream.generator(),
+                                 (count * dim, count * self._game.noise.normals_per_sample), [])
+        rng, sizes, futures = self._queued[key]
+        while len(futures) < parts:
             # each buffer stays under numpy's 4 MiB huge-page threshold at desk scale
-            draw.buffers.append(np.empty(draw.sizes[len(draw.buffers)]))
-            draw.done.append(threading.Event())
-            self._jobs.put((draw, draw.buffers[-1], draw.done[-1]))
+            buffer = np.empty(sizes[len(futures)])
+            futures.append(self._pool.submit(rng.standard_normal, out=buffer))
 
     def take(self, stream: RngStream, side: Literal["K", "L"], count: int) -> PrefetchedNormals:
         """The generator of ``stream`` with its leading normals drawn; queues the next step's."""
         key = (stream, side, count)
         self.request(*key)
-        draw = self._queued.pop(key)
+        rng, _, futures = self._queued.pop(key)
         if key in self._next:
             self.request(*self._next[key], parts=1)
-        for done in draw.done:
-            done.wait()
-        if draw.error is not None:
-            raise draw.error
-        return PrefetchedNormals(draw.rng, draw.buffers)
+        return PrefetchedNormals(rng, [future.result() for future in futures])
 
     def drop(self, stream: RngStream, side: Literal["K", "L"], count: int) -> None:
         """Forget the queued buffers of a stream that will not be read.
@@ -189,76 +178,53 @@ class _DrawAhead:
         """
         self._queued.pop((stream, side, count), None)
 
-    def _run(self) -> None:
-        while (job := self._jobs.get()) is not None:
-            draw, buffer, done = job
-            try:
-                draw.rng.standard_normal(out=buffer)
-            except BaseException as exc:  # raised again on the thread that takes the draw
-                draw.error = exc
-            finally:
-                done.set()
-            del job, draw, buffer  # hold no buffer while waiting for the next job
-
-
-class _Draw:
-    """A stream's generator, the buffers queued so far of its ``sizes``, one event each."""
-
-    def __init__(self, rng: np.random.Generator, sizes: tuple[int, int]):
-        self.rng = rng
-        self.sizes = sizes
-        self.buffers: list[np.ndarray] = []
-        self.done: list[threading.Event] = []
-        self.error: BaseException | None = None
-
 
 def _estimate_step(game: LqGame, K: StructuredGain, L: StructuredGain,
                    side: Literal["K", "L"], r: float, count: int,
                    stream: RngStream, policy: str,
-                   ahead: _DrawAhead | None = None) -> tuple[StructuredGain, int, int]:
+                   ahead: _DrawAhead) -> tuple[StructuredGain, int, int]:
     """One (gradient, covariance) estimation round; returns (step, gate hits, samples).
 
     An attempt's two rollouts draw from independent streams whose draws do
     not depend on the iterate.  ``ahead``'s helper draws the gradient
-    stream's leading normals while this thread runs the covariance rollout
-    (without ``ahead``, a helper is made for this step alone).  Every draw
-    is the plain one, and every traced function runs on this thread.  The
-    gate is tested before the gradient rollout, so an attempt rejected under
-    ``reject-and-resample`` spends only its ``count`` covariance trajectories.
+    stream's leading normals while this thread runs the covariance rollout.
+    Every draw is the plain one, and every traced function runs on this
+    thread.  The gate is tested before the gradient rollout, so an attempt
+    rejected under ``reject-and-resample`` spends only its ``count``
+    covariance trajectories.
     """
     gate_hits = 0
     samples = 0
-    with _DrawAhead(game) if ahead is None else contextlib.nullcontext(ahead) as ahead:
-        for attempt in range(2):
-            cost_stream = stream.child(_COST, attempt)
-            ahead.request(cost_stream, side, count)
-            _, states = batch_rollout(game, K, L, count, stream.child(_COV, attempt).generator(),
-                                      return_states=True)
-            cov = mean_covariance_blocks(states)
-            del states  # freed before the gradient rollout allocates its own
-            if not np.isfinite(cov).all():
-                raise DivergenceError(f"the covariance estimate for a step on {side} is not "
-                                      "finite; likely cause: the inner ascent on L diverged")
-            cov, gated = _apply_covariance_gate(game, cov, policy)
-            gate_hits += gated
-            if gated and policy == "reject-and-resample":
-                samples += count
-                ahead.drop(cost_stream, side, count)
-                if attempt == 0:
-                    continue
-                raise CovarianceGateError(
-                    f"covariance gate failed twice (phi/2 = {game.noise.phi / 2:g})")
-            grad = zo_gradient(game, K, L, side, r, count, ahead.take(cost_stream, side, count))
-            samples += 2 * count
-            try:
-                step = natural_step(grad, cov)
-            except np.linalg.LinAlgError:
-                raise DivergenceError(f"the covariance estimate for a step on {side} is singular; "
-                                      "likely cause: the inner ascent on L diverged") from None
-            # the raw gradient is 2 F Sigma, so the natural-gradient direction
-            # matching the exact solver's F/E updates is half the preconditioned
-            # estimate
-            return step.scale(0.5), gate_hits, samples
+    for attempt in range(2):
+        cost_stream = stream.child(_COST, attempt)
+        ahead.request(cost_stream, side, count)
+        _, states = batch_rollout(game, K, L, count, stream.child(_COV, attempt).generator(),
+                                  return_states=True)
+        cov = mean_covariance_blocks(states)
+        del states  # freed before the gradient rollout allocates its own
+        if not np.isfinite(cov).all():
+            raise DivergenceError(f"the covariance estimate for a step on {side} is not "
+                                  "finite; likely cause: the inner ascent on L diverged")
+        cov, gated = _apply_covariance_gate(game, cov, policy)
+        gate_hits += gated
+        if gated and policy == "reject-and-resample":
+            samples += count
+            ahead.drop(cost_stream, side, count)
+            if attempt == 0:
+                continue
+            raise CovarianceGateError(
+                f"covariance gate failed twice (phi/2 = {game.noise.phi / 2:g})")
+        grad = zo_gradient(game, K, L, side, r, count, ahead.take(cost_stream, side, count))
+        samples += 2 * count
+        try:
+            step = natural_step(grad, cov)
+        except np.linalg.LinAlgError:
+            raise DivergenceError(f"the covariance estimate for a step on {side} is singular; "
+                                  "likely cause: the inner ascent on L diverged") from None
+        # the raw gradient is 2 F Sigma, so the natural-gradient direction
+        # matching the exact solver's F/E updates is half the preconditioned
+        # estimate
+        return step.scale(0.5), gate_hits, samples
     raise AssertionError("unreachable")
 
 

@@ -14,9 +14,8 @@ import pytest
 from helpers import smoothed_gradient, zo_gradient_samples
 from lqgames import certify, cli, verify, zo
 from lqgames.exact import ExactSolverConfig, outer_npg_exact
-from lqgames.model import (LqGame, benchmark_game, benchmark_initial_gain,
-                           deterministic_noise, lift_gain,
-                           scalar_demo_game, zero_gain)
+from lqgames.model import (LqGame, StructuredGain, benchmark_game, benchmark_initial_gain,
+                           deterministic_noise, scalar_demo_game, zero_gain)
 from lqgames.sim import RngStream
 
 GOLDEN_VALUE = 3.2330
@@ -146,7 +145,7 @@ def test_criterion_5_desk_scale_stochastic(desk_ensemble, acceptance_report):
 def test_criterion_6_estimator_statistics(acceptance_report):
     # (a) unbiasedness on the scalar game with a pinned initial state
     g = scalar_demo_game(deterministic=True)
-    K = lift_gain([np.array([[0.5]])], "K")
+    K = StructuredGain("K", [np.array([[0.5]])])
     L = zero_gain(g, "L")
     target = verify.analytic_gradient(g, K, L, "L").blocks[0][0, 0]
     M, r = 1_000_000, 0.1
@@ -165,7 +164,7 @@ def test_criterion_6_estimator_statistics(acceptance_report):
     g3 = LqGame(A=(one,) * 3, B=(one,) * 3, D=(half,) * 3, Q=(one,) * 4,
                 Ru=(one,) * 3, Rw=(np.array([[5.0]]),) * 3,
                 noise=deterministic_noise([1.0], 3))
-    K3 = lift_gain([half] * 3, "K")
+    K3 = StructuredGain("K", [half] * 3)
     L3 = zero_gain(g3, "L")
     exact = verify.analytic_gradient(g3, K3, L3, "K").blocks.ravel()
     bias, z_b = {}, 0.0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import lqr_cost_oracle, primal_value
 from lqgames import certify, verify
 from lqgames.model import (LqGame, StructuredGain, benchmark_game,
-                           benchmark_initial_gain, isotropic_noise, lift_gain,
+                           benchmark_initial_gain, isotropic_noise,
                            scalar_demo_game, time_invariant_game, zero_gain)
 
 
@@ -24,7 +24,7 @@ def bench():
 
 
 def k_half():
-    return lift_gain([np.array([[0.5]])], side="K")
+    return StructuredGain("K", [np.array([[0.5]])])
 
 
 def test_value_blocks_scalar(scalar):
@@ -89,7 +89,7 @@ def test_best_response_dominates_any_L(scalar):
     br = certify.best_response_L(scalar, K)
     rng = np.random.default_rng(3)
     for _ in range(50):
-        L = lift_gain([rng.uniform(-0.4, 0.4, (1, 1))], side="L")
+        L = StructuredGain("L", [rng.uniform(-0.4, 0.4, (1, 1))])
         val = certify.objective(scalar, K, L)
         assert val <= certify.objective(scalar, K, br.L) + 1e-12
 
@@ -142,10 +142,10 @@ def test_solve_nash_saddle_point(bench):
     rng = np.random.default_rng(7)
     g = bench
     for _ in range(20):
-        dK = lift_gain([1e-3 * rng.standard_normal((g.d, g.m))
-                        for _ in range(g.horizon)], side="K")
-        dL = lift_gain([1e-3 * rng.standard_normal((g.n, g.m))
-                        for _ in range(g.horizon)], side="L")
+        dK = StructuredGain("K", [1e-3 * rng.standard_normal((g.d, g.m))
+                                  for _ in range(g.horizon)])
+        dL = StructuredGain("L", [1e-3 * rng.standard_normal((g.n, g.m))
+                                  for _ in range(g.horizon)])
         assert certify.objective(bench, sol.Kstar + dK, sol.Lstar) >= sol.value - 1e-9
         assert certify.objective(bench, sol.Kstar, sol.Lstar + dL) <= sol.value + 1e-9
 
@@ -201,8 +201,8 @@ def test_primal_dominates_any_pair(seed):
     # G(K, L) <= G(K, L(K)) for random feasible pairs on the scalar game
     g = scalar_demo_game()
     rng = np.random.default_rng(seed)
-    K = lift_gain([rng.uniform(-1.0, 1.5, (1, 1))], side="K")
-    L = lift_gain([rng.uniform(-0.5, 0.5, (1, 1))], side="L")
+    K = StructuredGain("K", [rng.uniform(-1.0, 1.5, (1, 1))])
+    L = StructuredGain("L", [rng.uniform(-0.5, 0.5, (1, 1))])
     br = certify.best_response_L(g, K)
     if not br.feasible:
         return
@@ -215,8 +215,8 @@ def test_covariance_floor(seed):
     # lambda_min(Sigma) >= phi: noise injection lower-bounds every stage
     g = scalar_demo_game()
     rng = np.random.default_rng(seed)
-    K = lift_gain([rng.uniform(-1.0, 1.5, (1, 1))], side="K")
-    L = lift_gain([rng.uniform(-0.5, 0.5, (1, 1))], side="L")
+    K = StructuredGain("K", [rng.uniform(-1.0, 1.5, (1, 1))])
+    L = StructuredGain("L", [rng.uniform(-0.5, 0.5, (1, 1))])
     S = certify.covariance_blocks(g, K, L)
     lam = min(float(np.linalg.eigvalsh(s).min()) for s in S)
     assert lam >= g.noise.phi - 1e-12

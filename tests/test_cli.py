@@ -141,6 +141,7 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     base = {"mode": "exact-npg", "out": str(tmp_path / "o"), "solver": {"T": 2}}
     for doc in ({"seeds": 5}, {"seeds": ["a"]}, {"seeds": []}, {"seeds": [True]},
                 {"seeds": [-1]}, {"initial_gain": [[[1, 2]]]},
+                {"game": "scalar_demo", "initial_gain": [[[True]]]},
                 {"initial_gain": [[[1.0, 2.0, 3.0]]] * 4}, {"initial_gain": "bogus"},
                 {"mode": "zo-npg", "zo": "x"}, {"mode": "zo-npg", "zo": 5}, {"solver": "x"},
                 {"game": 5}, {"game": None}, {"out": 5}, 5, None):
@@ -362,12 +363,25 @@ def _non_finite(doc, draw):
 
 
 def _lenient_number(doc, draw):
-    """A bool, text or float horizon, or a bool bound: values ``int`` and ``float`` once read."""
-    if draw(st.booleans()):
+    """A value that ``int`` or ``float`` would read as a number.
+
+    A bool, text or float horizon, or a bool bound, matrix entry or fixed
+    initial state entry.
+    """
+    target = draw(st.sampled_from(["horizon", "bound", "entry", "fixed_initial_state"]))
+    corner = st.sampled_from([0, -1])
+    if target == "horizon":
         N = doc["horizon"]
         doc["horizon"] = draw(st.sampled_from([N + 0.5, float(N), str(N), True, False]))
-    else:
+    elif target == "bound":
         doc["noise"]["bound"] = draw(st.booleans())
+    elif target == "entry":
+        mat = _get(doc, draw(st.sampled_from(_matrix_paths(doc))))
+        mat[draw(corner)][draw(corner)] = draw(st.booleans())
+    else:  # with the fixed-state noise kind, so that the boolean is the only defect
+        doc["noise"]["kind"] = "deterministic-zero"
+        doc["noise"]["fixed_initial_state"] = state = [0.5] * len(doc["terminal_Q"])
+        state[draw(corner)] = draw(st.booleans())
 
 
 @st.composite

@@ -4,9 +4,8 @@ import pytest
 from lqgames import certify, exact
 from lqgames.exact import (DivergenceError, ExactSolverConfig, inner_npg_exact,
                            outer_npg_exact)
-from lqgames.model import (benchmark_game, benchmark_initial_gain,
-                           lift_gain, scalar_demo_game,
-                           zero_gain)
+from lqgames.model import (StructuredGain, benchmark_game, benchmark_initial_gain,
+                           scalar_demo_game, zero_gain)
 from lqgames.zo import ZoConfig, outer_zo_npg
 
 
@@ -33,7 +32,7 @@ def test_config_rejects_nonfinite_and_noninteger(bad):
 
 def test_inner_one_step_scalar(scalar):
     # L1 = L0 + tau1 * E = 0 + 0.1 * (-0.25)
-    K = lift_gain([np.array([[0.5]])], side="K")
+    K = StructuredGain("K", [np.array([[0.5]])])
     cfg = ExactSolverConfig(tau1=0.1, inner_mode="fixed", T_in=1)
     L, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar, "L"), cfg)
     assert L.blocks[0][0, 0] == pytest.approx(-0.025)
@@ -41,7 +40,7 @@ def test_inner_one_step_scalar(scalar):
 
 
 def test_inner_gap_mode_converges(scalar):
-    K = lift_gain([np.array([[0.5]])], side="K")
+    K = StructuredGain("K", [np.array([[0.5]])])
     cfg = ExactSolverConfig(tau1=0.1, inner_mode="gap", eps1=1e-10)
     L, gaps, _ = inner_npg_exact(scalar, K, zero_gain(scalar, "L"), cfg)
     br = certify.best_response_L(scalar, K)
@@ -52,7 +51,7 @@ def test_inner_gap_mode_converges(scalar):
 
 
 def test_inner_stationary_at_best_response(scalar):
-    K = lift_gain([np.array([[0.5]])], side="K")
+    K = StructuredGain("K", [np.array([[0.5]])])
     br = certify.best_response_L(scalar, K)
     cfg = ExactSolverConfig(inner_mode="gap", eps1=1e-8)
     L, gaps, _ = inner_npg_exact(scalar, K, br.L, cfg)
@@ -62,7 +61,7 @@ def test_inner_stationary_at_best_response(scalar):
 
 def test_outer_scalar_converges_to_nash(scalar):
     sol = certify.solve_nash(scalar)
-    K0 = lift_gain([np.array([[0.8]])], side="K")
+    K0 = StructuredGain("K", [np.array([[0.8]])])
     cfg = ExactSolverConfig(inner_mode="exact", tau2=0.2, T=200)
     K, trace = outer_npg_exact(scalar, K0, cfg, nash_value=sol.value)
     assert abs(K.blocks[0][0, 0] - sol.Kstar.blocks[0][0, 0]) <= 1e-8
@@ -114,7 +113,7 @@ def test_outer_divergence_guard(run):
 
 def test_outer_fixed_inner_mode_tracks_exact(scalar):
     sol = certify.solve_nash(scalar)
-    K0 = lift_gain([np.array([[0.8]])], side="K")
+    K0 = StructuredGain("K", [np.array([[0.8]])])
     cfg = ExactSolverConfig(inner_mode="fixed", T_in=50, tau1=0.1,
                             tau2=0.2, T=200)
     K, trace = outer_npg_exact(scalar, K0, cfg, nash_value=sol.value)
@@ -136,7 +135,7 @@ def _count_calls(monkeypatch, name):
 @pytest.mark.parametrize("inner_mode", ["exact", "gap"])
 def test_outer_one_best_response_per_iterate(scalar, monkeypatch, inner_mode):
     sol = certify.solve_nash(scalar)
-    K0 = lift_gain([np.array([[0.8]])], side="K")
+    K0 = StructuredGain("K", [np.array([[0.8]])])
     calls = _count_calls(monkeypatch, "best_response_L")
     cfg = ExactSolverConfig(inner_mode=inner_mode, tau2=0.2, T=5)
     _, trace = outer_npg_exact(scalar, K0, cfg, nash_value=sol.value)
@@ -156,7 +155,7 @@ def test_outer_zo_one_best_response_per_iterate(monkeypatch):
 
 
 def test_inner_gap_mode_one_value_recursion_per_step(scalar, monkeypatch):
-    K = lift_gain([np.array([[0.5]])], side="K")
+    K = StructuredGain("K", [np.array([[0.5]])])
     br = certify.best_response_L(scalar, K)
     calls = _count_calls(monkeypatch, "value_blocks")
     cfg = ExactSolverConfig(tau1=0.1, inner_mode="gap", eps1=1e-10)
@@ -181,7 +180,7 @@ def test_outer_gap_mode_reuses_inner_value_blocks(scalar, monkeypatch):
     monkeypatch.setattr(exact, "inner_npg_exact", recorded)
     calls = _count_calls(monkeypatch, "value_blocks")
     cfg = ExactSolverConfig(inner_mode="gap", tau1=0.1, eps1=1e-10, tau2=0.2, T=5)
-    outer_npg_exact(scalar, lift_gain([np.array([[0.8]])], side="K"), cfg,
+    outer_npg_exact(scalar, StructuredGain("K", [np.array([[0.8]])]), cfg,
                     nash_value=sol.value)
     assert len(inner_gaps) == 5
     assert len(calls) == sum(inner_gaps)

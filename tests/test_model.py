@@ -7,7 +7,7 @@ from lqgames import verify
 from lqgames.model import (LqGame, ModelError, NoiseModel, StructuredGain,
                            benchmark_game, benchmark_initial_gain,
                            deterministic_noise, game_from_dict, game_to_dict,
-                           isotropic_noise, lift_gain, load_game, resolve_game,
+                           isotropic_noise, load_game, resolve_game,
                            save_game, scalar_demo_game, time_invariant_game,
                            zero_gain)
 
@@ -187,7 +187,7 @@ def test_resolve_game_builtins_and_bundled():
 def test_lift_round_trip_property(m, p, N, seed):
     rng = np.random.default_rng(seed)
     blocks = [rng.standard_normal((p, m)) for _ in range(N)]
-    gain = lift_gain(blocks, side="K")
+    gain = StructuredGain("K", blocks)
     full = verify.full_gain(gain)
     assert full.shape == (N * p, (N + 1) * m)
     assert np.array_equal(_unlift(full, N, p, m), np.array(blocks))

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from helpers import monte_carlo_objective
 from lqgames import certify, sim, zo
-from lqgames.model import (NoiseModel, benchmark_game, benchmark_initial_gain,
-                           isotropic_noise, lift_gain, scalar_demo_game,
+from lqgames.model import (NoiseModel, StructuredGain, benchmark_game,
+                           benchmark_initial_gain, isotropic_noise, scalar_demo_game,
                            zero_gain)
 
 
@@ -40,7 +40,7 @@ def test_rng_stream_draws_sfc64_of_its_seed_sequence(seed, indices):
 def test_rollout_deterministic_noise():
     # fixed x0 = 1, zero process noise: trajectory and cost are exact
     g = scalar_demo_game(deterministic=True)
-    K = lift_gain([np.array([[0.5]])], side="K")
+    K = StructuredGain("K", [np.array([[0.5]])])
     L = zero_gain(g, "L")
     costs, states = sim.batch_rollout(g, K, L, 1, sim.RngStream(0).generator(),
                                       return_states=True)
@@ -64,12 +64,12 @@ def test_batch_rollout_shapes():
 
 def test_batch_rollout_perturbation_offsets_gain():
     g = scalar_demo_game(deterministic=True)
-    K = lift_gain([np.array([[0.3]])], side="K")
+    K = StructuredGain("K", [np.array([[0.3]])])
     L = zero_gain(g, "L")
     pert = np.full((g.horizon, 1, 1, 1), 0.2)
     costs, _ = sim.batch_rollout(g, K, L, 1, sim.RngStream(0).generator(),
                                  K_perturb=pert)
-    K_shift = lift_gain([np.array([[0.5]])], side="K")
+    K_shift = StructuredGain("K", [np.array([[0.5]])])
     expect, _ = sim.batch_rollout(g, K_shift, L, 1, sim.RngStream(0).generator())
     assert costs[0] == pytest.approx(expect[0])
 
@@ -177,7 +177,7 @@ def _reference_rollout(game, K, L, xi, K_perturb=None, L_perturb=None):
 def test_batch_rollout_matches_plain_formulas(kind, isotropic, perturbed):
     g = _with_noise(benchmark_game(), kind, isotropic)
     K = benchmark_initial_gain()
-    L = lift_gain([0.1 * np.ones((g.n, g.m))] * g.horizon, side="L")
+    L = StructuredGain("L", [0.1 * np.ones((g.n, g.m))] * g.horizon)
     count = 40
     rng = np.random.default_rng(3)
     perturb = {}
@@ -202,7 +202,7 @@ def test_batch_rollout_states_bitwise(count):
     # x_{h+1} = (A - B K - D L) x_h + xi_h on the draws of the same stream
     g = benchmark_game()
     K = benchmark_initial_gain()
-    L = lift_gain([0.1 * np.ones((g.n, g.m))] * g.horizon, side="L")
+    L = StructuredGain("L", [0.1 * np.ones((g.n, g.m))] * g.horizon)
     costs, states = sim.batch_rollout(g, K, L, count, sim.RngStream(8).generator(),
                                       return_states=True)
     xi = g.noise.sample(count, sim.RngStream(8).generator())

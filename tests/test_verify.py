@@ -5,15 +5,14 @@ import pytest
 
 from lqgames import certify, verify
 from lqgames.exact import ExactSolverConfig, outer_npg_exact
-from lqgames.model import (benchmark_game, benchmark_initial_gain,
-                           lift_gain, scalar_demo_game,
-                           zero_gain)
+from lqgames.model import (StructuredGain, benchmark_game, benchmark_initial_gain,
+                           scalar_demo_game, zero_gain)
 
 
 def test_brute_force_matches_certify_scalar():
     g = scalar_demo_game()
-    K = lift_gain([np.array([[0.5]])], "K")
-    L = lift_gain([np.array([[-0.1]])], "L")
+    K = StructuredGain("K", [np.array([[0.5]])])
+    L = StructuredGain("L", [np.array([[-0.1]])])
     assert verify.brute_force_value_oracle(g, K, L) == pytest.approx(
         certify.objective(g, K, L), abs=1e-12)
 
@@ -39,8 +38,8 @@ def test_fd_gradient_matches_analytic():
 
 def test_analytic_gradient_is_2FSigma():
     g = scalar_demo_game()
-    K = lift_gain([np.array([[0.7]])], "K")
-    L = lift_gain([np.array([[0.1]])], "L")
+    K = StructuredGain("K", [np.array([[0.7]])])
+    L = StructuredGain("L", [np.array([[0.1]])])
     F = certify.natural_gradients(g, K, L, "K")
     E = certify.natural_gradients(g, K, L, "L")
     S = certify.covariance_blocks(g, K, L)
@@ -60,7 +59,7 @@ def test_gradient_domination_at_interior_point():
 def test_descent_along_exact_run():
     game = scalar_demo_game()
     cfg = ExactSolverConfig(inner_mode="exact", tau2=0.05, T=20)
-    K = lift_gain([np.array([[0.8]])], "K")
+    K = StructuredGain("K", [np.array([[0.8]])])
     br = certify.best_response_L(game, K)
     for _ in range(10):
         F = certify.natural_gradients(game, K, br.L, "K")

@@ -9,13 +9,13 @@ from helpers import first_index, smoothed_objective_fd, zo_gradient_samples
 from lqgames import certify, zo
 from lqgames.exact import _outer_descent
 from lqgames.model import (NoiseModel, StructuredGain, benchmark_game,
-                           benchmark_initial_gain, isotropic_noise, lift_gain,
+                           benchmark_initial_gain, isotropic_noise,
                            scalar_demo_game, zero_gain)
 from lqgames.sim import RngStream, batch_rollout, mean_covariance_blocks
 
 
 def k_half():
-    return lift_gain([np.array([[0.5]])], side="K")
+    return StructuredGain("K", [np.array([[0.5]])])
 
 
 def test_config_validation():
@@ -196,7 +196,7 @@ def test_smoothed_objective_reference_matches_estimator():
     # reference each match it within three standard errors
     g = scalar_demo_game(deterministic=True)
     K, L, r = k_half(), zero_gain(g, "L"), 0.05
-    plus, minus = (certify.objective(g, K, L + lift_gain([np.array([[s * r]])], side="L"))
+    plus, minus = (certify.objective(g, K, L + StructuredGain("L", [np.array([[s * r]])]))
                    for s in (1.0, -1.0))
     exact = (plus - minus) / (2 * r)
     count = 200_000
@@ -257,7 +257,7 @@ def test_estimate_step_matches_serial_draws(case, side):
     # the gradient stream's normals are drawn ahead on a helper thread; the
     # step, gate hits and sample counts stay bitwise those of serial draws
     g, count, stream, policy = benchmark_game(), 300, RngStream(12, (0, 3)), "regularize"
-    K, L = benchmark_initial_gain(), lift_gain([0.1 * np.ones((g.n, g.m))] * g.horizon, side="L")
+    K, L = benchmark_initial_gain(), StructuredGain("L", [0.1 * np.ones((g.n, g.m))] * g.horizon)
     expect_hits = 0
     if case == "tiny-bound":
         g = _tiny_bound_game()
@@ -278,7 +278,8 @@ def test_estimate_step_matches_serial_draws(case, side):
                                    for attempt in range(2)] == [True, False])
         assert k is not None
         stream = RngStream(12, (0, k))
-    step, hits, samples = zo._estimate_step(g, K, L, side, 0.2, count, stream, policy)
+    with zo._DrawAhead(g) as ahead:
+        step, hits, samples = zo._estimate_step(g, K, L, side, 0.2, count, stream, policy, ahead)
     ref, ref_hits, ref_samples = _serial_estimate_step(g, K, L, side, 0.2, count, stream, policy)
     assert np.array_equal(step.blocks, ref.blocks)
     assert (hits, samples) == (ref_hits, ref_samples)
@@ -372,3 +373,27 @@ def test_outer_zo_npg_joins_its_helper(case, monkeypatch):
             zo.outer_zo_npg(g, benchmark_initial_gain(), cfg)
     assert set(during) == {before + 1}  # one helper for the whole run
     assert threading.active_count() == before
+
+
+def test_outer_zo_npg_reraises_a_helper_error(monkeypatch):
+    class DrawError(Exception):
+        pass
+
+    class FailingBufferDraws:
+        """A stream's generator whose draws into a buffer, the helper's only call, raise."""
+
+        def __init__(self, rng):
+            self._rng = rng
+
+        def standard_normal(self, size=None, out=None):
+            if out is not None:
+                raise DrawError(f"draw failed on {threading.current_thread().name}")
+            return self._rng.standard_normal(size)
+
+    generator = RngStream.generator
+    monkeypatch.setattr(RngStream, "generator", lambda self: FailingBufferDraws(generator(self)))
+    cfg = zo.ZoConfig(M1=50, M2=50, T_in=1, T=1)
+    before = threading.active_count()
+    with pytest.raises(DrawError, match="on lqgames-draw-ahead"):
+        zo.outer_zo_npg(benchmark_game(), benchmark_initial_gain(), cfg)
+    assert threading.active_count() == before  # the helper is joined
