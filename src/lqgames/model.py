@@ -143,36 +143,41 @@ class NoiseModel:
         """Draw ``count`` lifted noise vectors, stage-major: shape (N+1, m, count).
 
         ``out[0]`` holds the x_0 of each sample, ``out[1..N]`` the stage
-        noises xi_0..xi_{N-1}.  Blocks are drawn one after another from
-        ``rng`` as (count, m) arrays, each with its rejection redraws before
-        the next block, and written as ``factor @ z.T`` into ``out[i]``.
+        noises xi_0..xi_{N-1}.  ``rng`` fills one (N+1, m, count) array z,
+        which becomes ``factors @ z`` in place, one Cholesky factor per
+        block, so a draw-ahead buffer of exactly ``count * normals_per_sample``
+        normals is itself returned as the noise (numpy's overlap handling
+        multiplies through a transient copy of z).  Under truncation the
+        rejection redraws come after it: each round draws one (k, m) array
+        for the k rejected (block, sample) pairs in ``np.nonzero`` order.
         Raises ModelError for a sample still rejected after ``_REDRAW_ROUNDS``.
         """
         n_blocks, m, _ = self.covariance_blocks.shape
-        out = np.empty((n_blocks, m, count))
         if self.kind == "deterministic-zero":
-            out[:] = 0.0
+            out = np.zeros((n_blocks, m, count))
             out[0] = self.fixed_initial_state[:, None]
             return out
+        if self.kind == "scaled-uniform":  # unit-variance uniform coordinates
+            out = rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(n_blocks, m, count))
+            return np.matmul(self._factors, out, out=out)
+        out = rng.standard_normal((n_blocks, m, count))
+        np.matmul(self._factors, out, out=out)
         bound_sq = self.bound * self.bound
-        for factor, block in zip(self._factors, out):
-            if self.kind == "truncated-gaussian":
-                np.matmul(factor, rng.standard_normal((count, m)).T, out=block)
-                bad = np.einsum("ic,ic->c", block, block) > bound_sq
-                # rejection loop; with the default bound this almost never runs
-                rounds = 0
-                while bad.any():
-                    if rounds == _REDRAW_ROUNDS:
-                        raise ModelError(
-                            f"truncated-Gaussian noise bound {self.bound:g} still rejects a "
-                            f"sample after {rounds} redraws; the bound is too tight for the "
-                            "noise covariance")
-                    rounds += 1
-                    block[:, bad] = factor @ rng.standard_normal((int(bad.sum()), m)).T
-                    bad = np.einsum("ic,ic->c", block, block) > bound_sq
-            else:  # scaled-uniform: unit-variance uniform coordinates
-                np.matmul(factor, rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), size=(count, m)).T,
-                          out=block)
+        bad = np.einsum("bic,bic->bc", out, out) > bound_sq
+        # rejection loop; with the default bound this almost never runs
+        rounds = 0
+        while bad.any():
+            if rounds == _REDRAW_ROUNDS:
+                raise ModelError(
+                    f"truncated-Gaussian noise bound {self.bound:g} still rejects a "
+                    f"sample after {rounds} redraws; the bound is too tight for the "
+                    "noise covariance")
+            rounds += 1
+            blocks, samples = np.nonzero(bad)
+            z = rng.standard_normal((len(blocks), m))
+            redraw = (self._factors[blocks] @ z[..., None])[..., 0]
+            out[blocks, :, samples] = redraw
+            bad[blocks, samples] = np.einsum("ki,ki->k", redraw, redraw) > bound_sq
         return out
 
     @staticmethod

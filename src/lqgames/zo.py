@@ -22,8 +22,11 @@ from .sim import PrefetchedNormals, RngStream, batch_rollout, mean_covariance_bl
 from .trace import RunTrace
 
 # stream purpose indices: keep stable so runs are reproducible across versions.
-# The bit generator is part of that contract too: ZO traces made before the
-# streams moved from Philox to SFC64 are not reproduced by this version.
+# The bit generator and the draw layout are part of that contract too: ZO
+# traces made before the streams moved from Philox to SFC64, or before each
+# batch was drawn in its stage-major layout (sphere normals as one
+# (dim, count) array, noise as one (N+1, m, count) array), are not reproduced
+# by this version.
 _COST, _COV = 0, 1
 
 
@@ -65,19 +68,21 @@ def sample_unit_sphere(game: LqGame, side: Literal["K", "L"], count: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Uniform draws on the unit Frobenius sphere of the structured subspace.
 
-    Sample c takes the c-th (dim,) row of standard normals from ``rng``.
-    Returns stage blocks with the sample index last, shape (N, p, m, count);
-    the lift of each draw has Frobenius norm exactly 1.  The normalisation
-    writes the one stage-major copy, so the drawn rows are dropped on return.
+    ``rng`` fills one (dim, count) array of standard normals, so sample c is
+    its c-th column.  Returns stage blocks with the sample index last, shape
+    (N, p, m, count); the lift of each draw has Frobenius norm exactly 1.
+    The columns are normalised in place, so the result is the drawn array
+    itself: a draw-ahead buffer of exactly ``count * dim`` normals is returned
+    without a copy.
     """
     p, m, dim = gain_dims(game, side)
-    flat = rng.standard_normal((count, dim))
-    sq_norms = np.einsum("ci,ci->c", flat, flat)
+    U = rng.standard_normal((dim, count))
+    sq_norms = np.einsum("ic,ic->c", U, U)
     while (sq_norms == 0.0).any():  # probability-zero guard
         bad = sq_norms == 0.0
-        flat[bad] = rng.standard_normal((int(bad.sum()), dim))
-        sq_norms = np.einsum("ci,ci->c", flat, flat)
-    U = np.divide(flat.T, np.sqrt(sq_norms), out=np.empty((dim, count)))
+        U[:, bad] = rng.standard_normal((dim, int(bad.sum())))
+        sq_norms = np.einsum("ic,ic->c", U, U)
+    U /= np.sqrt(sq_norms)
     return U.reshape(game.horizon, p, m, count)
 
 

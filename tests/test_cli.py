@@ -357,7 +357,9 @@ def _non_finite(doc, draw):
     target = draw(st.sampled_from(["entry", "bound", "horizon"]))
     if target == "entry":
         mat = _get(doc, draw(st.sampled_from(_matrix_paths(doc))))
-        mat[draw(st.integers(0, len(mat) - 1))][0] = value
+        # a row from either end, so a matrix emptied to [] or {} raises the
+        # IndexError or KeyError that _bad_game_docs tolerates
+        mat[draw(st.sampled_from([0, -1]))][0] = value
     else:
         _get(doc, ("noise",) if target == "bound" else ())[target] = value
 

@@ -216,18 +216,48 @@ def test_batch_rollout_states_bitwise(count):
 
 @pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 2.7, None])
 def test_noise_sample_stream_layout(sigma):
-    # block after block from one generator, each the Cholesky factor times
-    # a transposed (count, m) standard-normal draw, bitwise
+    # one (N+1, m, count) standard-normal draw from the generator, each block
+    # times its Cholesky factor, bitwise
     g = benchmark_game()
     if sigma is None:
         g = _with_noise(g, "truncated-gaussian", isotropic=False)
     else:
         g = dataclasses.replace(g, noise=isotropic_noise(g.m, g.horizon, sigma=sigma))
     xi = g.noise.sample(500, sim.RngStream(4).generator())
-    rng = sim.RngStream(4).generator()
-    for i, cov in enumerate(g.noise.covariance_blocks):
-        expect = np.linalg.cholesky(cov) @ rng.standard_normal((500, g.m)).T
-        assert np.array_equal(xi[i], expect)
+    z = sim.RngStream(4).generator().standard_normal((g.horizon + 1, g.m, 500))
+    assert np.array_equal(xi, np.linalg.cholesky(g.noise.covariance_blocks) @ z)
+
+
+def test_uniform_noise_sample_stream_layout():
+    # scaled-uniform noise takes the same layout: one (N+1, m, count) draw of
+    # unit-variance uniforms, each block times its Cholesky factor, bitwise
+    g = _with_noise(benchmark_game(), "scaled-uniform", isotropic=False)
+    xi = g.noise.sample(500, sim.RngStream(4).generator())
+    u = sim.RngStream(4).generator().uniform(-np.sqrt(3.0), np.sqrt(3.0),
+                                             size=(g.horizon + 1, g.m, 500))
+    assert np.array_equal(xi, np.linalg.cholesky(g.noise.covariance_blocks) @ u)
+
+
+def test_noise_sample_redraw_order():
+    # a bound that rejects about half the draws: after the one (N+1, m, count)
+    # draw, each round redraws the rejected (block, sample) pairs, in
+    # np.nonzero order, from one (k, m) standard-normal draw
+    g = benchmark_game()
+    blocks = np.broadcast_to(0.05 * np.eye(g.m), (g.horizon + 1, g.m, g.m))
+    noise = NoiseModel(kind="truncated-gaussian", covariance_blocks=blocks,
+                       bound=float(np.sqrt(0.05 * 2.4)))
+    xi = noise.sample(50, sim.RngStream(5).generator())
+    rng = sim.RngStream(5).generator()
+    factors = np.linalg.cholesky(blocks)
+    expect = factors @ rng.standard_normal((g.horizon + 1, g.m, 50))
+    rounds = 0
+    while (bad := np.linalg.norm(expect, axis=1) > noise.bound).any():
+        pairs = np.argwhere(bad)
+        for (b, c), z in zip(pairs, rng.standard_normal((len(pairs), g.m))):
+            expect[b, :, c] = factors[b] @ z
+        rounds += 1
+    assert rounds > 1
+    assert np.array_equal(xi, expect)
 
 
 _chunk = st.one_of(st.integers(0, 40),

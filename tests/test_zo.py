@@ -11,7 +11,7 @@ from lqgames.exact import _outer_descent
 from lqgames.model import (NoiseModel, StructuredGain, benchmark_game,
                            benchmark_initial_gain, isotropic_noise,
                            scalar_demo_game, zero_gain)
-from lqgames.sim import RngStream, batch_rollout, mean_covariance_blocks
+from lqgames.sim import PrefetchedNormals, RngStream, batch_rollout, mean_covariance_blocks
 
 
 def k_half():
@@ -60,6 +60,30 @@ def test_sphere_second_moment_isotropic():
     # dim = 1: the draw is +-1 with equal probability, second moment exactly 1
     assert second[0, 0] == pytest.approx(1.0)
     assert abs(flat.mean()) <= 3.0 / np.sqrt(200_000)
+
+
+@pytest.mark.parametrize("side", ["K", "L"])
+def test_sphere_stream_layout(side):
+    # sample c is the c-th column of one (dim, count) standard-normal draw,
+    # divided by its norm, bitwise
+    g = benchmark_game()
+    _, _, dim = zo.gain_dims(g, side)
+    U = zo.sample_unit_sphere(g, side, 300, RngStream(2).generator())
+    z = RngStream(2).generator().standard_normal((dim, 300))
+    assert np.array_equal(U.reshape(dim, 300), z / np.linalg.norm(z, axis=0))
+
+
+def test_sphere_normalises_a_draw_ahead_buffer_in_place():
+    # a buffer of exactly count * dim normals is returned as the directions,
+    # with no stage-major copy
+    g = benchmark_game()
+    _, _, dim = zo.gain_dims(g, "K")
+    rng = RngStream(3).generator()
+    buffer = np.empty(40 * dim)
+    rng.standard_normal(out=buffer)
+    U = zo.sample_unit_sphere(g, "K", 40, PrefetchedNormals(rng, [buffer]))
+    assert np.shares_memory(U, buffer)
+    assert np.allclose(np.linalg.norm(U.reshape(dim, 40), axis=0), 1.0)
 
 
 def test_zo_gradient_single_sample_identity():
