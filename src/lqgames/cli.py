@@ -1,15 +1,15 @@
 """Command-line front end: Nash solve, solver runs, and the property suite.
 
-Configuration is a single JSON document with a ``mode`` discriminator; flags
-can override seeds and the output directory.  Exit codes, each failure
-with a one-line message on stderr:
+Configuration is a single JSON document; its ``mode`` picks the solver that
+``run`` uses.  Flags can override seeds and the output directory.  Exit
+codes, each failure with a one-line message on stderr:
 
-- 0 success;
-- 1 command-line, configuration or parse error;
-- 2 infeasible instance;
+- 0 ok;
+- 1 command-line or config error;
+- 2 infeasible game or initial gain;
 - 3 divergence;
-- 4 verification failure;
-- 5 covariance gate failed twice under ``gate_policy: reject-and-resample``;
+- 4 failed verification;
+- 5 covariance gate failed twice under ``gate_policy: "reject-and-resample"``;
 - 6 gap-mode inner loop reached ``inner_cap`` before ``eps1``.
 
 Exits 3, 5 and 6 keep the partial trace of the seed that stopped.
@@ -43,8 +43,6 @@ EXIT_VERIFY = 4
 EXIT_COVARIANCE_GATE = 5
 EXIT_INNER_LOOP = 6
 
-_MODES = ("nash", "exact-npg", "zo-npg", "verify")
-
 # exit code and stderr prefix of each way a run stops early
 _STOPS = {DivergenceError: (EXIT_DIVERGENCE, "divergence"),
           CovarianceGateError: (EXIT_COVARIANCE_GATE, "stopped"),
@@ -64,10 +62,10 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a game source, a mode, parameters, seeds, output dir."""
+    """One experiment: a game source, a solver mode, parameters, seeds, output dir."""
 
     game: str = "benchmark"
-    mode: str = "nash"
+    mode: str | None = None
     seeds: tuple[int, ...] = (0,)
     out: str = "out"
     solver: dict = field(default_factory=dict)
@@ -77,8 +75,8 @@ class ExperimentConfig:
     verify_instances: int = 20
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in (None, "exact-npg", "zo-npg"):
+            raise ConfigError(f"mode must be exact-npg or zo-npg, got {self.mode!r}")
         for name, kind, what in (("game", str, "a builtin name or a file path"),
                                  ("out", str, "a directory path"),
                                  ("solver", dict, "a JSON object"), ("zo", dict, "a JSON object")):
@@ -94,6 +92,8 @@ class ExperimentConfig:
                 or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds)):
             shown = list(seeds) if isinstance(seeds, tuple) else seeds
             raise ConfigError(f"seeds must be a non-empty list of non-negative integers, got {shown!r}")
+        if len(set(seeds)) < len(seeds):
+            raise ConfigError(f"seeds must be distinct, got {list(seeds)!r}")
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -183,8 +183,8 @@ def _write_summary(out: Path, traces: dict[int, RunTrace], total_trajectories: i
 
 
 def cmd_run(config: ExperimentConfig, out: Path, timings: bool) -> int:
-    if config.mode not in ("exact-npg", "zo-npg"):
-        raise ConfigError(f"run requires mode exact-npg or zo-npg, got {config.mode!r}")
+    if config.mode is None:
+        raise ConfigError("run requires mode exact-npg or zo-npg")
     section, solver = (("solver", ExactSolverConfig) if config.mode == "exact-npg"
                        else ("zo", ZoConfig))
     try:
@@ -203,8 +203,7 @@ def cmd_run(config: ExperimentConfig, out: Path, timings: bool) -> int:
             if config.mode == "exact-npg":
                 _, trace = outer_npg_exact(game, K0, params, nash_value=nash_value)
             else:
-                _, trace = outer_zo_npg(game, K0, dataclasses.replace(params, seed=seed),
-                                        nash_value=nash_value)
+                _, trace = outer_zo_npg(game, K0, params, seed, nash_value=nash_value)
         except SolverStop as exc:
             exc.trace.write_csv(csv_path, include_timings=timings)
             code, what = _STOPS[type(exc)]

@@ -45,7 +45,6 @@ class ZoConfig:
     T_in: int = 10
     T: int = 60
     gate_policy: Literal["regularize", "reject-and-resample"] = "regularize"
-    seed: int = 0
 
     def __post_init__(self):
         _check_numbers(positive={"r1": self.r1, "r2": self.r2,
@@ -260,18 +259,19 @@ def inner_zo_oracle(game: LqGame, K: StructuredGain, L0: StructuredGain,
     return L, samples, gate_hits
 
 
-def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig,
+def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig, seed: int = 0,
                  nash_value: float | None = None) -> tuple[StructuredGain, RunTrace]:
     """Model-free nested natural policy gradient on K.
 
     Calls the inner oracle once per outer iteration, then forms the outer
     gradient estimate against the fixed inner output.  The trace logs the
     model-based primal gap, estimated natural-gradient norm, margins, and
-    cumulative sample counts; the step itself never reads the model.  One
-    helper thread draws each step's gradient stream while the step before it
-    runs; it is joined before this returns or raises.
+    cumulative sample counts; the step itself never reads the model.  Every
+    draw comes from a stream of ``seed``.  One helper thread draws each
+    step's gradient stream while the step before it runs; it is joined
+    before this returns or raises.
     """
-    root = RngStream(config.seed)
+    root = RngStream(seed)
     steps = []
     for t in range(config.T):
         steps += _inner_steps(root.child(0, t), config)

@@ -51,11 +51,11 @@ def desk_ensemble(bench_nash):
     game = benchmark_game()
     K0 = benchmark_initial_gain()
     bound = certify.khat_bound(game, certify.feasible_best_response(game, K0))
+    cfg = zo.ZoConfig(**DESK_CONFIG)
     runs = []
     for seed in range(20):
-        cfg = zo.ZoConfig(seed=seed, **DESK_CONFIG)
         t0 = time.perf_counter()
-        K, trace = zo.outer_zo_npg(game, K0, cfg, nash_value=bench_nash.value)
+        K, trace = zo.outer_zo_npg(game, K0, cfg, seed, nash_value=bench_nash.value)
         gaps = trace.gaps()
         khat_all = (all(r.in_Khat for r in trace.rows)
                     and certify.in_Khat_set(certify.best_response_L(game, K), bound))

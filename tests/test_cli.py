@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -49,7 +51,7 @@ def test_nash_infeasible_exit_code(tmp_path, capsys):
                  noise=isotropic_noise(1, 1))
     game_path = tmp_path / "bad.json"
     save_game(bad, game_path)
-    cfg = write_config(tmp_path, game=str(game_path), mode="nash")
+    cfg = write_config(tmp_path, game=str(game_path))
     rc = cli.main(["nash", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_INFEASIBLE
     assert "infeasible" in capsys.readouterr().err
@@ -120,7 +122,7 @@ def test_seed_override(tmp_path):
 
 
 def test_verify_command(tmp_path, capsys):
-    cfg = write_config(tmp_path, mode="verify", verify_instances=2)
+    cfg = write_config(tmp_path, verify_instances=2)
     rc = cli.main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_OK
     out = capsys.readouterr().out
@@ -130,17 +132,23 @@ def test_verify_command(tmp_path, capsys):
 
 def test_bad_config_exit_codes(tmp_path, capsys):
     assert cli.main(["nash", "--config", str(tmp_path / "missing.json")]) == cli.EXIT_CONFIG
-    cfg = write_config(tmp_path, mode="nash", bogus_key=1)
+    cfg = write_config(tmp_path, bogus_key=1)
     assert cli.main(["nash", "--config", cfg]) == cli.EXIT_CONFIG
-    cfg = write_config(tmp_path, mode="not-a-mode")
-    assert cli.main(["nash", "--config", cfg]) == cli.EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "config error" in err
+    assert capsys.readouterr().err.count("config error") == 2
+    # only run reads the mode, and only a solver mode
+    for command in ("nash", "verify"):
+        for mode in ("not-a-mode", "nash", "verify"):
+            cfg = write_config(tmp_path, mode=mode, out=str(tmp_path / "o"))
+            assert cli.main([command, "--config", cfg]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error: mode must be") and err.count("\n") == 1, err
     # malformed documents, seeds, sections and initial gains: one line each,
     # no traceback
     base = {"mode": "exact-npg", "out": str(tmp_path / "o"), "solver": {"T": 2}}
     for doc in ({"seeds": 5}, {"seeds": ["a"]}, {"seeds": []}, {"seeds": [True]},
-                {"seeds": [-1]}, {"initial_gain": [[[1, 2]]]},
+                {"seeds": [-1]}, {"seeds": [1, 1]}, {"mode": None}, {"mode": "nash"},
+                {"mode": "verify"}, {"mode": "zo-npg", "zo": {"seed": 1}},
+                {"initial_gain": [[[1, 2]]]},
                 {"game": "scalar_demo", "initial_gain": [[[True]]]},
                 {"initial_gain": [[[1.0, 2.0, 3.0]]] * 4}, {"initial_gain": "bogus"},
                 {"mode": "zo-npg", "zo": "x"}, {"mode": "zo-npg", "zo": 5}, {"solver": "x"},
@@ -161,7 +169,7 @@ _JUNK = st.sampled_from([None, True, -1, 0, 0.5, 1e-300, 1e300, float("nan"), fl
 _VALID_RUN_DOCS = st.fixed_dictionaries({
     "mode": st.sampled_from(["exact-npg", "zo-npg"]),
     "game": st.sampled_from(["benchmark", "scalar_demo"]),
-    "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=2),
+    "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=2, unique=True),
     "solver": st.fixed_dictionaries({
         "T": st.integers(1, 3), "T_in": st.integers(1, 2), "inner_cap": st.integers(1, 3),
         "inner_mode": st.sampled_from(["fixed", "gap", "exact"]),
@@ -239,7 +247,7 @@ def test_nash_nonfinite_game_is_config_error(tmp_path, capsys):
     doc["stages"][0]["A"][0][0] = float("nan")
     game_path = tmp_path / "nan.json"
     game_path.write_text(json.dumps(doc))
-    cfg = write_config(tmp_path, game=str(game_path), mode="nash")
+    cfg = write_config(tmp_path, game=str(game_path))
     rc = cli.main(["nash", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -272,7 +280,7 @@ def _replace(doc, path, value):
 def test_nash_malformed_game_file_is_config_error(tmp_path, capsys, path, value):
     game_path = tmp_path / "game.json"
     game_path.write_text(json.dumps(_replace(game_to_dict(benchmark_game()), path, value)))
-    cfg = write_config(tmp_path, game=str(game_path), mode="nash")
+    cfg = write_config(tmp_path, game=str(game_path))
     rc = cli.main(["nash", "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -409,7 +417,7 @@ def test_fuzzed_game_document_is_config_error(capsys, doc):
         game_path = Path(tmp) / "game.json"
         game_path.write_text(json.dumps(doc))
         cfg = Path(tmp) / "config.json"
-        cfg.write_text(json.dumps({"game": str(game_path), "mode": "nash"}))
+        cfg.write_text(json.dumps({"game": str(game_path)}))
         rc = cli.main(["nash", "--config", str(cfg), "--out", str(Path(tmp) / "o")])
         assert not (Path(tmp) / "o" / "nash.json").exists()
     err = capsys.readouterr().err
@@ -451,7 +459,7 @@ def test_run_tight_noise_bound_is_config_error(tmp_path, capsys):
 def _singular_outer_covariance(zo_doc, seed):
     """Whether the run of ``zo_doc`` on the benchmark stops at a singular outer covariance."""
     try:
-        outer_zo_npg(benchmark_game(), benchmark_initial_gain(), ZoConfig(seed=seed, **zo_doc))
+        outer_zo_npg(benchmark_game(), benchmark_initial_gain(), ZoConfig(**zo_doc), seed)
     except DivergenceError as exc:
         return "the covariance estimate for a step on K is singular" in str(exc)
     return False
@@ -509,12 +517,19 @@ def test_run_rejects_nash_mode(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg]) == cli.EXIT_CONFIG
 
 
+def test_duplicate_seed_flags_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, mode="exact-npg", out=str(tmp_path / "o"), solver={"T": 2})
+    argv = ["run", "--config", cfg, "--seed", "5", "--seed", "6", "--seed", "5"]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: seeds must be distinct, got [5, 6, 5]\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["nash", "run", "verify"])
 @pytest.mark.parametrize("out", ["a\x00b", "file/o"])
 def test_unmakeable_out_is_config_error(tmp_path, capsys, command, out):
     (tmp_path / "file").write_text("")
-    cfg = write_config(tmp_path, mode={"run": "exact-npg"}.get(command, command),
-                       solver={"T": 2}, verify_instances=1)
+    cfg = write_config(tmp_path, mode="exact-npg", solver={"T": 2}, verify_instances=1)
     assert cli.main([command, "--config", cfg, "--out", str(tmp_path / out)]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: cannot make output directory") and err.count("\n") == 1
@@ -540,3 +555,36 @@ def test_python_m_lqgames(tmp_path):
     assert done.returncode == cli.EXIT_OK, done.stderr
     assert "value=3.2330" in done.stdout
     assert (tmp_path / "o" / "nash.json").exists()
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _exit_meanings(lines, pattern):
+    """{code: meaning} of the lines matching ``pattern``, backticks dropped."""
+    found = [re.fullmatch(pattern, line.strip()) for line in lines]
+    return {int(m[1]): m[2].replace("`", "") for m in found if m}
+
+
+def test_exit_codes_documented_as_in_code():
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    doc = _exit_meanings(cli.__doc__.splitlines(), r"- (\d+) (.+)[;.]")
+    readme = _exit_meanings((_ROOT / "README.md").read_text().splitlines(),
+                            r"\| (\d+) \| (.+) \|")
+    assert set(doc) == set(readme) == codes
+    # each README row opens with the docstring's meaning and may add detail
+    for code in codes:
+        assert re.fullmatch(re.escape(doc[code]) + "([:;] .+)?", readme[code]), code
+
+
+def test_package_exports_resolve():
+    import lqgames
+
+    names = lqgames.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(lqgames, name)] == []
+    tree = ast.parse((_ROOT / "perfbench" / "make_games.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "lqgames"
+                for alias in node.names}
+    assert len(imported) == 5 and imported <= set(names)
