@@ -15,14 +15,14 @@ from .model import (LqGame, ModelError, NoiseModel, StructuredGain, benchmark_ga
                     time_invariant_game)
 from .trace import RunTrace, TraceRow
 from .verify import CheckReport, run_property_suite
-from .zo import CovarianceGateError, ZoConfig, outer_zo_npg
+from .zo import ZoConfig, outer_zo_npg
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckReport", "CovarianceGateError", "DivergenceError", "ExactSolverConfig", "LqGame",
-    "ModelError", "NashInfeasibleError", "NashSolution", "NoiseModel", "RunTrace",
-    "StructuredGain", "TraceRow", "ZoConfig", "benchmark_game", "benchmark_initial_gain",
-    "isotropic_noise", "load_game", "outer_npg_exact", "outer_zo_npg", "run_property_suite",
-    "save_game", "solve_nash", "time_invariant_game",
+    "CheckReport", "DivergenceError", "ExactSolverConfig", "LqGame", "ModelError",
+    "NashInfeasibleError", "NashSolution", "NoiseModel", "RunTrace", "StructuredGain",
+    "TraceRow", "ZoConfig", "benchmark_game", "benchmark_initial_gain", "isotropic_noise",
+    "load_game", "outer_npg_exact", "outer_zo_npg", "run_property_suite", "save_game",
+    "solve_nash", "time_invariant_game",
 ]

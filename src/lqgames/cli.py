@@ -9,10 +9,10 @@ codes, each failure with a one-line message on stderr:
 - 2 infeasible game or initial gain;
 - 3 divergence;
 - 4 failed verification;
-- 5 covariance gate failed twice under ``gate_policy: "reject-and-resample"``;
 - 6 gap-mode inner loop reached ``inner_cap`` before ``eps1``.
 
-Exits 3, 5 and 6 keep the partial trace of the seed that stopped.
+Code 5 is retired.  Exits 3 and 6 keep the partial trace of the seed that
+stopped.
 """
 
 from __future__ import annotations
@@ -33,19 +33,17 @@ from .exact import (DivergenceError, ExactSolverConfig, InnerLoopError, SolverSt
 from .model import (LqGame, ModelError, StructuredGain, benchmark_initial_gain,
                     reject_booleans, resolve_game, zero_gain)
 from .trace import RunTrace, fmt
-from .zo import CovarianceGateError, ZoConfig, outer_zo_npg
+from .zo import ZoConfig, outer_zo_npg
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_DIVERGENCE = 3
 EXIT_VERIFY = 4
-EXIT_COVARIANCE_GATE = 5
 EXIT_INNER_LOOP = 6
 
 # exit code and stderr prefix of each way a run stops early
 _STOPS = {DivergenceError: (EXIT_DIVERGENCE, "divergence"),
-          CovarianceGateError: (EXIT_COVARIANCE_GATE, "stopped"),
           InnerLoopError: (EXIT_INNER_LOOP, "stopped")}
 
 
@@ -71,7 +69,6 @@ class ExperimentConfig:
     solver: dict = field(default_factory=dict)
     zo: dict = field(default_factory=dict)
     initial_gain: list | str | None = None
-    verify_seed: int = 0
     verify_instances: int = 20
 
     def __post_init__(self):
@@ -83,10 +80,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
-        for name in ("verify_seed", "verify_instances"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+        value = self.verify_instances
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise ConfigError(f"verify_instances must be a non-negative integer, got {value!r}")
         seeds = self.seeds
         if (not isinstance(seeds, tuple) or not seeds
                 or any(isinstance(s, bool) or not isinstance(s, int) or s < 0 for s in seeds)):
@@ -220,8 +216,7 @@ def cmd_run(config: ExperimentConfig, out: Path, timings: bool) -> int:
 
 
 def cmd_verify(config: ExperimentConfig, out: Path) -> int:
-    reports = verify.run_property_suite(seed=config.verify_seed,
-                                        instances=config.verify_instances)
+    reports = verify.run_property_suite(instances=config.verify_instances)
     _make_dir(out)
     report_path = out / "verify_reports.jsonl"
     verify.write_reports(reports, report_path)

@@ -153,16 +153,14 @@ def brute_force_value_oracle(game: LqGame, K: StructuredGain, L: StructuredGain)
 # ---------------------------------------------------------------------------
 
 def check_descent(game: LqGame, K_t: StructuredGain, K_next: StructuredGain,
-                  tau2: float, slack: float = 0.0, seed: int = 0,
-                  instance: str = "", br: certify.BestResponse | None = None,
+                  tau2: float, seed: int = 0, instance: str = "",
+                  br: certify.BestResponse | None = None,
                   br_next: certify.BestResponse | None = None) -> CheckReport:
     """One-step descent test for the outer update.
 
-    Verifies G(K+) - G(K) <= tau2*slack - (tau2*phi/4) Tr(F'F), with F the
-    natural gradient at (K_t, L(K_t)).  ``slack`` is a configured allowance
-    for inexact inner solves and estimation noise, not an analytic constant.
-    ``br`` and ``br_next`` are the feasible best responses of K_t and K_next,
-    computed here when not given.
+    Verifies G(K+) - G(K) <= -(tau2*phi/4) Tr(F'F), with F the natural
+    gradient at (K_t, L(K_t)).  ``br`` and ``br_next`` are the feasible best
+    responses of K_t and K_next, computed here when not given.
     """
     phi = game.noise.phi
     if br is None:
@@ -173,7 +171,7 @@ def check_descent(game: LqGame, K_t: StructuredGain, K_next: StructuredGain,
     val_next = certify.expected_cost(game, br_next.P_blocks)
     F = certify.natural_gradients(game, K_t, br.L, "K", br.P_blocks)
     lhs = val_next - val_t
-    rhs = tau2 * slack - (tau2 * phi / 4.0) * F.frobenius_norm() ** 2
+    rhs = -(tau2 * phi / 4.0) * F.frobenius_norm() ** 2
     tol = 1e-12 * (1.0 + abs(val_t))
     return CheckReport(
         name="descent", instance=instance, passed=bool(lhs <= rhs + tol),

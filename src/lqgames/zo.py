@@ -16,22 +16,20 @@ from typing import Literal
 
 import numpy as np
 
-from .exact import DivergenceError, SolverStop, _check_numbers, _outer_descent
+from .exact import DivergenceError, _check_numbers, _outer_descent
 from .model import LqGame, StructuredGain, zero_gain
 from .sim import PrefetchedNormals, RngStream, batch_rollout, mean_covariance_blocks
 from .trace import RunTrace
 
 # stream purpose indices: keep stable so runs are reproducible across versions.
-# The bit generator and the draw layout are part of that contract too: ZO
+# Each estimation step draws from ``stream.child(_COST, 0)`` and
+# ``stream.child(_COV, 0)``; the trailing 0 is part of the contract too.
+# So are the bit generator and the draw layout: ZO
 # traces made before the streams moved from Philox to SFC64, or before each
 # batch was drawn in its stage-major layout (sphere normals as one
 # (dim, count) array, noise as one (N+1, m, count) array), are not reproduced
 # by this version.
 _COST, _COV = 0, 1
-
-
-class CovarianceGateError(SolverStop):
-    """Estimated covariance failed the invertibility gate twice."""
 
 
 @dataclass(frozen=True)
@@ -44,14 +42,11 @@ class ZoConfig:
     tau2: float = 4.67e-4
     T_in: int = 10
     T: int = 60
-    gate_policy: Literal["regularize", "reject-and-resample"] = "regularize"
 
     def __post_init__(self):
         _check_numbers(positive={"r1": self.r1, "r2": self.r2,
                                  "tau1": self.tau1, "tau2": self.tau2},
                        counts={"M1": self.M1, "M2": self.M2, "T_in": self.T_in, "T": self.T})
-        if self.gate_policy not in ("regularize", "reject-and-resample"):
-            raise ValueError(f"unknown gate policy {self.gate_policy!r}")
         for name, r in (("r1", self.r1), ("r2", self.r2)):
             if r * r == 0.0:  # the estimator divides by r^2
                 raise ValueError(f"{name} is too small to square, got {r!r}")
@@ -103,16 +98,13 @@ def zo_gradient(game: LqGame, K: StructuredGain, L: StructuredGain,
     return StructuredGain(side, blocks)
 
 
-def _apply_covariance_gate(game: LqGame, blocks: np.ndarray, policy: str) -> tuple[np.ndarray, bool]:
+def _apply_covariance_gate(game: LqGame, blocks: np.ndarray) -> tuple[np.ndarray, bool]:
     """Enforce lambda_min >= phi/2 on stacked blocks before inversion; returns (blocks, gated)."""
     phi_half = game.noise.phi / 2.0
     lam = float(np.linalg.eigvalsh(0.5 * (blocks + blocks.swapaxes(1, 2)))[:, 0].min())
     if lam >= phi_half:
         return blocks, False
-    if policy == "regularize":
-        bump = phi_half - lam
-        return blocks + bump * np.eye(blocks.shape[1]), True
-    return blocks, True  # reject policy: caller resamples
+    return blocks + (phi_half - lam) * np.eye(blocks.shape[1]), True
 
 
 def natural_step(grad: StructuredGain, cov_blocks: np.ndarray) -> StructuredGain:
@@ -175,61 +167,38 @@ class _DrawAhead:
             self.request(*self._next[key], parts=1)
         return PrefetchedNormals(rng, [future.result() for future in futures])
 
-    def drop(self, stream: RngStream, side: Literal["K", "L"], count: int) -> None:
-        """Forget the queued buffers of a stream that will not be read.
-
-        The helper still fills any buffer it has queued, then lets it go.
-        """
-        self._queued.pop((stream, side, count), None)
-
 
 def _estimate_step(game: LqGame, K: StructuredGain, L: StructuredGain,
                    side: Literal["K", "L"], r: float, count: int,
-                   stream: RngStream, policy: str,
-                   ahead: _DrawAhead) -> tuple[StructuredGain, int, int]:
-    """One (gradient, covariance) estimation round; returns (step, gate hits, samples).
+                   stream: RngStream, ahead: _DrawAhead) -> tuple[StructuredGain, bool]:
+    """One (covariance, gradient) estimation round; returns (step, gated).
 
-    An attempt's two rollouts draw from independent streams whose draws do
-    not depend on the iterate.  ``ahead``'s helper draws the gradient
-    stream's leading normals while this thread runs the covariance rollout.
-    Every draw is the plain one, and every traced function runs on this
-    thread.  The gate is tested before the gradient rollout, so an attempt
-    rejected under ``reject-and-resample`` spends only its ``count``
-    covariance trajectories.
+    It spends 2 * count trajectories.  The two rollouts draw from
+    independent streams whose draws do not depend on the iterate.
+    ``ahead``'s helper draws the gradient stream's leading normals while
+    this thread runs the covariance rollout.  Every draw is the plain one,
+    and every traced function runs on this thread.
     """
-    gate_hits = 0
-    samples = 0
-    for attempt in range(2):
-        cost_stream = stream.child(_COST, attempt)
-        ahead.request(cost_stream, side, count)
-        _, states = batch_rollout(game, K, L, count, stream.child(_COV, attempt).generator(),
-                                  return_states=True)
-        cov = mean_covariance_blocks(states)
-        del states  # freed before the gradient rollout allocates its own
-        if not np.isfinite(cov).all():
-            raise DivergenceError(f"the covariance estimate for a step on {side} is not "
-                                  "finite; likely cause: the inner ascent on L diverged")
-        cov, gated = _apply_covariance_gate(game, cov, policy)
-        gate_hits += gated
-        if gated and policy == "reject-and-resample":
-            samples += count
-            ahead.drop(cost_stream, side, count)
-            if attempt == 0:
-                continue
-            raise CovarianceGateError(
-                f"covariance gate failed twice (phi/2 = {game.noise.phi / 2:g})")
-        grad = zo_gradient(game, K, L, side, r, count, ahead.take(cost_stream, side, count))
-        samples += 2 * count
-        try:
-            step = natural_step(grad, cov)
-        except np.linalg.LinAlgError:
-            raise DivergenceError(f"the covariance estimate for a step on {side} is singular; "
-                                  "likely cause: the inner ascent on L diverged") from None
-        # the raw gradient is 2 F Sigma, so the natural-gradient direction
-        # matching the exact solver's F/E updates is half the preconditioned
-        # estimate
-        return step.scale(0.5), gate_hits, samples
-    raise AssertionError("unreachable")
+    cost_stream = stream.child(_COST, 0)
+    ahead.request(cost_stream, side, count)
+    _, states = batch_rollout(game, K, L, count, stream.child(_COV, 0).generator(),
+                              return_states=True)
+    cov = mean_covariance_blocks(states)
+    del states  # freed before the gradient rollout allocates its own
+    if not np.isfinite(cov).all():
+        raise DivergenceError(f"the covariance estimate for a step on {side} is not "
+                              "finite; likely cause: the inner ascent on L diverged")
+    cov, gated = _apply_covariance_gate(game, cov)
+    grad = zo_gradient(game, K, L, side, r, count, ahead.take(cost_stream, side, count))
+    try:
+        step = natural_step(grad, cov)
+    except np.linalg.LinAlgError:
+        raise DivergenceError(f"the covariance estimate for a step on {side} is singular; "
+                              "likely cause: the inner ascent on L diverged") from None
+    # the raw gradient is 2 F Sigma, so the natural-gradient direction
+    # matching the exact solver's F/E updates is half the preconditioned
+    # estimate
+    return step.scale(0.5), gated
 
 
 def _inner_steps(stream: RngStream, config: ZoConfig) -> list:
@@ -247,16 +216,13 @@ def inner_zo_oracle(game: LqGame, K: StructuredGain, L0: StructuredGain,
     """
     steps = _inner_steps(stream, config)
     L = L0
-    samples = 0
     gate_hits = 0
     with _DrawAhead(game, steps) if ahead is None else contextlib.nullcontext(ahead) as ahead:
         for step_stream, _, _ in steps:
-            step, hits, used = _estimate_step(game, K, L, "L", config.r1, config.M1,
-                                              step_stream, config.gate_policy, ahead)
-            gate_hits += hits
-            samples += used
+            step, gated = _estimate_step(game, K, L, "L", config.r1, config.M1, step_stream, ahead)
+            gate_hits += gated
             L = L + step.scale(config.tau1)
-    return L, samples, gate_hits
+    return L, 2 * config.M1 * len(steps), gate_hits
 
 
 def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig, seed: int = 0,
@@ -281,10 +247,9 @@ def outer_zo_npg(game: LqGame, K0: StructuredGain, config: ZoConfig, seed: int =
         def zo_step(t, K, br):
             L_t, inner_used, inner_hits = inner_zo_oracle(
                 game, K, zero_gain(game, "L"), config, root.child(0, t), ahead)
-            step, outer_hits, outer_used = _estimate_step(
-                game, K, L_t, "K", config.r2, config.M2, root.child(1, t), config.gate_policy,
-                ahead)
-            return step, (inner_used, outer_used, inner_hits + outer_hits)
+            step, gated = _estimate_step(game, K, L_t, "K", config.r2, config.M2,
+                                         root.child(1, t), ahead)
+            return step, (inner_used, 2 * config.M2, inner_hits + gated)
 
         return _outer_descent(game, K0, zo_step, config.T, config.tau2, nash_value,
                               batch=(config.M1, config.M2))

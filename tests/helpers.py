@@ -5,9 +5,10 @@ import math
 import numpy as np
 
 from lqgames import certify
-from lqgames.model import StructuredGain
+from lqgames.exact import DivergenceError
+from lqgames.model import StructuredGain, benchmark_game, benchmark_initial_gain
 from lqgames.sim import batch_rollout
-from lqgames.zo import gain_dims, sample_unit_sphere
+from lqgames.zo import ZoConfig, gain_dims, outer_zo_npg, sample_unit_sphere
 
 
 def monte_carlo_objective(game, K, L, count, rng, chunk=200_000):
@@ -89,11 +90,26 @@ def zo_gradient_samples(game, K, L, side, r, count, rng):
 def first_index(predicate, limit=1000):
     """The first i in range(limit) with ``predicate(i)``, or None.
 
-    A test that needs a random event, such as a stream whose first gate
-    attempt fails and second passes, searches stream indices for one instead
-    of pinning an index that holds for one bit generator only.
+    A test that needs a random event, such as a seed whose run stops at a
+    singular covariance estimate, searches stream indices or seeds for one
+    instead of pinning an index that holds for one bit generator only.
     """
     return next((i for i in range(limit) if predicate(i)), None)
+
+
+# ZO parameters with batches of two or three: on some seeds the inner ascent
+# diverges and the outer step's covariance estimate is singular
+SINGULAR_ZO = {"r1": 2.0, "r2": 0.18, "M1": 2, "M2": 3, "tau1": 0.04, "tau2": 4.67e-4,
+               "T_in": 2, "T": 1}
+
+
+def singular_outer_covariance(zo_doc, seed):
+    """Whether the run of ``zo_doc`` on the benchmark stops at a singular outer covariance."""
+    try:
+        outer_zo_npg(benchmark_game(), benchmark_initial_gain(), ZoConfig(**zo_doc), seed)
+    except DivergenceError as exc:
+        return "the covariance estimate for a step on K is singular" in str(exc)
+    return False
 
 
 def primal_value(game, K):

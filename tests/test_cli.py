@@ -13,12 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import first_index
+from helpers import SINGULAR_ZO, first_index, singular_outer_covariance
 from lqgames import cli
-from lqgames.exact import DivergenceError
-from lqgames.model import (LqGame, benchmark_game, benchmark_initial_gain, game_to_dict,
-                           isotropic_noise, save_game, scalar_demo_game)
-from lqgames.zo import ZoConfig, outer_zo_npg
+from lqgames.exact import ExactSolverConfig
+from lqgames.model import (LqGame, benchmark_game, game_to_dict, isotropic_noise, save_game,
+                           scalar_demo_game)
+from lqgames.zo import ZoConfig
 
 
 def write_config(tmp_path, **doc):
@@ -148,6 +148,9 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     for doc in ({"seeds": 5}, {"seeds": ["a"]}, {"seeds": []}, {"seeds": [True]},
                 {"seeds": [-1]}, {"seeds": [1, 1]}, {"mode": None}, {"mode": "nash"},
                 {"mode": "verify"}, {"mode": "zo-npg", "zo": {"seed": 1}},
+                {"mode": "zo-npg", "zo": {"gate_policy": "regularize"}},
+                {"mode": "zo-npg", "zo": {"gate_policy": "reject-and-resample"}},
+                {"verify_seed": 0},
                 {"initial_gain": [[[1, 2]]]},
                 {"game": "scalar_demo", "initial_gain": [[[True]]]},
                 {"initial_gain": [[[1.0, 2.0, 3.0]]] * 4}, {"initial_gain": "bogus"},
@@ -179,8 +182,7 @@ _VALID_RUN_DOCS = st.fixed_dictionaries({
         "T": st.integers(1, 3), "T_in": st.integers(1, 2),
         "M1": st.integers(1, 50), "M2": st.integers(1, 50),
         "r1": st.sampled_from([2.0, 1e-300, 1e300]), "r2": st.sampled_from([0.18, 1e-300, 1e300]),
-        "tau1": st.sampled_from([0.04, 1e300]), "tau2": st.sampled_from([4.67e-4, 1e300]),
-        "gate_policy": st.sampled_from(["regularize", "reject-and-resample"])}),
+        "tau1": st.sampled_from([0.04, 1e300]), "tau2": st.sampled_from([4.67e-4, 1e300])}),
 }, optional={"initial_gain": st.sampled_from(["zero", "benchmark", [[[0.8]]]])})
 
 # (section or None, key) of every field a corruption may replace with junk
@@ -188,8 +190,7 @@ _FIELDS = [(None, f.name) for f in dataclasses.fields(cli.ExperimentConfig)] + [
     (None, "bogus"), ("solver", "bogus"), ("zo", "bogus")] + [
     ("solver", k) for k in ("T", "T_in", "inner_cap", "inner_mode", "tau1", "tau2", "eps1",
                             "stop_gap")] + [
-    ("zo", k) for k in ("T", "T_in", "M1", "M2", "r1", "r2", "tau1", "tau2", "gate_policy",
-                        "seed")]
+    ("zo", k) for k in ("T", "T_in", "M1", "M2", "r1", "r2", "tau1", "tau2", "seed")]
 
 
 def _corrupt(doc: dict, edits: list) -> dict:
@@ -220,7 +221,7 @@ def test_fuzzed_run_config_ends_in_documented_code(capsys, doc, out):
         rc = cli.main(["run", "--config", str(path), "--out", str(Path(tmp) / out)])
     err = capsys.readouterr().err
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE, cli.EXIT_DIVERGENCE,
-                  cli.EXIT_COVARIANCE_GATE, cli.EXIT_INNER_LOOP), (doc, rc)
+                  cli.EXIT_INNER_LOOP), (doc, rc)
     assert err.count("\n") == (rc != cli.EXIT_OK), (doc, err)
 
 
@@ -456,45 +457,27 @@ def test_run_tight_noise_bound_is_config_error(tmp_path, capsys):
     assert err.startswith("config error: truncated-Gaussian noise bound 1e-09") and err.count("\n") == 1, err
 
 
-def _singular_outer_covariance(zo_doc, seed):
-    """Whether the run of ``zo_doc`` on the benchmark stops at a singular outer covariance."""
-    try:
-        outer_zo_npg(benchmark_game(), benchmark_initial_gain(), ZoConfig(**zo_doc), seed)
-    except DivergenceError as exc:
-        return "the covariance estimate for a step on K is singular" in str(exc)
-    return False
-
-
 def test_run_singular_covariance_is_divergence(tmp_path, capsys):
     # batches of two or three: on some seeds the inner ascent diverges and the
     # outer step's covariance estimate is singular, which once escaped as a
     # LinAlgError
-    zo_doc = {"r1": 2.0, "r2": 0.18, "M1": 2, "M2": 3, "tau1": 0.04, "tau2": 4.67e-4,
-              "T_in": 2, "T": 1}
-    seed = first_index(lambda s: _singular_outer_covariance(zo_doc, s))
+    seed = first_index(lambda s: singular_outer_covariance(SINGULAR_ZO, s))
     assert seed is not None
-    cfg = write_config(tmp_path, mode="zo-npg", seeds=[seed], out=str(tmp_path / "o"), zo=zo_doc)
+    cfg = write_config(tmp_path, mode="zo-npg", seeds=[seed], out=str(tmp_path / "o"),
+                       zo=SINGULAR_ZO)
     assert cli.main(["run", "--config", cfg]) == cli.EXIT_DIVERGENCE
     err = capsys.readouterr().err
     assert err.startswith("divergence") and err.count("\n") == 1, err
     assert "the covariance estimate for a step on K is singular" in err
 
 
-@pytest.mark.parametrize("mode, section, params, code, message", [
-    # M = 1 gives rank-one covariance blocks, so the gate fails both attempts
-    ("zo-npg", "zo", {"M1": 1, "M2": 1, "T_in": 1, "T": 1,
-                      "gate_policy": "reject-and-resample"},
-     cli.EXIT_COVARIANCE_GATE, "covariance gate failed twice"),
-    ("exact-npg", "solver", {"inner_mode": "gap", "eps1": 1e-12, "inner_cap": 1, "T": 3},
-     cli.EXIT_INNER_LOOP, "inner loop failed to reach gap 1e-12 in 1 iterations"),
-])
-def test_run_solver_stop_exit_codes(tmp_path, capsys, mode, section, params, code, message):
-    cfg = write_config(tmp_path, mode=mode, seeds=[0], out=str(tmp_path / "o"),
-                       **{section: params})
-    assert cli.main(["run", "--config", cfg]) == code
+def test_run_inner_loop_stop_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, mode="exact-npg", seeds=[0], out=str(tmp_path / "o"),
+                       solver={"inner_mode": "gap", "eps1": 1e-12, "inner_cap": 1, "T": 3})
+    assert cli.main(["run", "--config", cfg]) == cli.EXIT_INNER_LOOP
     err = capsys.readouterr().err
     assert err.startswith("stopped (seed 0): ") and err.count("\n") == 1, err
-    assert message in err
+    assert "inner loop failed to reach gap 1e-12 in 1 iterations" in err
     assert (tmp_path / "o" / "trace_seed0.csv").exists()  # partial trace kept
 
 
@@ -575,6 +558,17 @@ def test_exit_codes_documented_as_in_code():
     # each README row opens with the docstring's meaning and may add detail
     for code in codes:
         assert re.fullmatch(re.escape(doc[code]) + "([:;] .+)?", readme[code]), code
+
+
+def test_config_keys_documented_as_in_code():
+    readme = " ".join((_ROOT / "README.md").read_text().split())
+    keys = readme.split("Configs are JSON with keys ")[1].split(". ")[0]
+    sections = dict(re.findall(r"`(solver|zo)` \((?:exact|model-free): ([^)]*)\)", keys))
+    for documented, config in ((re.sub(r"\([^)]*\)", "", keys), cli.ExperimentConfig),
+                               (sections["solver"], ExactSolverConfig),
+                               (sections["zo"], ZoConfig)):
+        names = re.findall(r"`(\w+)`", documented)
+        assert sorted(names) == sorted(f.name for f in dataclasses.fields(config)), config
 
 
 def test_package_exports_resolve():

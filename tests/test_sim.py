@@ -94,7 +94,7 @@ def test_mean_covariance_matches_model():
     S = certify.covariance_blocks(g, K, L)
     for a, b in zip(blocks, S):
         assert np.allclose(a, b, atol=6e-3 * (1 + np.linalg.norm(b)))
-    gated_blocks, gated = zo._apply_covariance_gate(g, blocks, "regularize")
+    gated_blocks, gated = zo._apply_covariance_gate(g, blocks)
     assert not gated
     assert gated_blocks is blocks
 
@@ -104,7 +104,7 @@ def test_covariance_gate_flag_small_batch():
     g = benchmark_game()
     _, states = sim.batch_rollout(g, benchmark_initial_gain(), zero_gain(g, "L"), 1,
                                   sim.RngStream(0).generator(), return_states=True)
-    _, gated = zo._apply_covariance_gate(g, sim.mean_covariance_blocks(states), "regularize")
+    _, gated = zo._apply_covariance_gate(g, sim.mean_covariance_blocks(states))
     assert gated
 
 

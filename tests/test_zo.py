@@ -5,7 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from helpers import first_index, smoothed_objective_fd, zo_gradient_samples
+from helpers import (SINGULAR_ZO, first_index, singular_outer_covariance, smoothed_objective_fd,
+                     zo_gradient_samples)
 from lqgames import certify, zo
 from lqgames.exact import _outer_descent
 from lqgames.model import (NoiseModel, StructuredGain, benchmark_game,
@@ -23,8 +24,6 @@ def test_config_validation():
         zo.ZoConfig(r2=0.0)
     with pytest.raises(ValueError):
         zo.ZoConfig(M1=0)
-    with pytest.raises(ValueError):
-        zo.ZoConfig(gate_policy="drop")
 
 
 @pytest.mark.parametrize("bad", [
@@ -132,7 +131,7 @@ def test_natural_step_inverts_covariance():
 def test_covariance_gate_regularize():
     g = benchmark_game()
     rank_one = np.zeros((6, 3, 3))
-    fixed, gated = zo._apply_covariance_gate(g, rank_one, "regularize")
+    fixed, gated = zo._apply_covariance_gate(g, rank_one)
     assert gated
     lam = min(np.linalg.eigvalsh(b).min() for b in fixed)
     assert lam >= g.noise.phi / 2 - 1e-12
@@ -141,18 +140,9 @@ def test_covariance_gate_regularize():
 def test_covariance_gate_pass_through():
     g = benchmark_game()
     good = np.array([np.eye(3)] * 6)
-    fixed, gated = zo._apply_covariance_gate(g, good, "regularize")
+    fixed, gated = zo._apply_covariance_gate(g, good)
     assert not gated
     assert np.array_equal(fixed, good)
-
-
-def test_reject_and_resample_raises_after_two_failures():
-    # M = 1 gives rank-one covariance blocks, so the gate always trips
-    g = benchmark_game()
-    cfg = zo.ZoConfig(M1=1, M2=1, T_in=1, gate_policy="reject-and-resample")
-    with pytest.raises(zo.CovarianceGateError):
-        zo.inner_zo_oracle(g, benchmark_initial_gain(), zero_gain(g, "L"),
-                           cfg, RngStream(0))
 
 
 def test_inner_oracle_tracks_best_response_scalar():
@@ -235,35 +225,13 @@ def test_smoothed_objective_reference_matches_estimator():
     assert abs(ref.blocks[0, 0, 0] - exact) <= 3.0 * se
 
 
-def _serial_estimate_step(game, K, L, side, r, count, stream, policy):
-    """The estimation round with every draw taken from a plain generator, in turn.
-
-    An attempt that fails the gate under ``reject-and-resample`` runs no
-    gradient rollout.
-    """
-    gate_hits = samples = 0
-    for attempt in range(2):
-        _, states = batch_rollout(game, K, L, count,
-                                  stream.child(zo._COV, attempt).generator(),
-                                  return_states=True)
-        cov, gated = zo._apply_covariance_gate(game, mean_covariance_blocks(states), policy)
-        gate_hits += gated
-        if gated and policy == "reject-and-resample":
-            samples += count
-            if attempt == 0:
-                continue
-            raise zo.CovarianceGateError("covariance gate failed twice")
-        grad = zo.zo_gradient(game, K, L, side, r, count,
-                              stream.child(zo._COST, attempt).generator())
-        samples += 2 * count
-        return zo.natural_step(grad, cov).scale(0.5), gate_hits, samples
-
-
-def _gate_fails(game, K, L, count, stream, attempt):
-    """Whether an attempt's covariance estimate fails the gate, drawn as in ``_estimate_step``."""
-    _, states = batch_rollout(game, K, L, count, stream.child(zo._COV, attempt).generator(),
+def _serial_estimate_step(game, K, L, side, r, count, stream):
+    """The estimation round with every draw taken from a plain generator, in turn."""
+    _, states = batch_rollout(game, K, L, count, stream.child(zo._COV, 0).generator(),
                               return_states=True)
-    return zo._apply_covariance_gate(game, mean_covariance_blocks(states), "reject-and-resample")[1]
+    cov, gated = zo._apply_covariance_gate(game, mean_covariance_blocks(states))
+    grad = zo.zo_gradient(game, K, L, side, r, count, stream.child(zo._COST, 0).generator())
+    return zo.natural_step(grad, cov).scale(0.5), gated
 
 
 def _tiny_bound_game():
@@ -275,12 +243,12 @@ def _tiny_bound_game():
     return dataclasses.replace(g, noise=noise)
 
 
-@pytest.mark.parametrize("case", ["tiny-bound", "scaled-uniform", "count-1", "resample"])
+@pytest.mark.parametrize("case", ["tiny-bound", "scaled-uniform", "count-1"])
 @pytest.mark.parametrize("side", ["K", "L"])
 def test_estimate_step_matches_serial_draws(case, side):
     # the gradient stream's normals are drawn ahead on a helper thread; the
-    # step, gate hits and sample counts stay bitwise those of serial draws
-    g, count, stream, policy = benchmark_game(), 300, RngStream(12, (0, 3)), "regularize"
+    # step and the gate flag stay bitwise those of serial draws
+    g, count, stream = benchmark_game(), 300, RngStream(12, (0, 3))
     K, L = benchmark_initial_gain(), StructuredGain("L", [0.1 * np.ones((g.n, g.m))] * g.horizon)
     expect_hits = 0
     if case == "tiny-bound":
@@ -293,23 +261,13 @@ def test_estimate_step_matches_serial_draws(case, side):
         expect_hits = 1  # truncation shrinks the covariance below phi/2
     elif case == "scaled-uniform":
         g = dataclasses.replace(g, noise=isotropic_noise(g.m, g.horizon, kind="scaled-uniform"))
-    elif case == "count-1":
-        count, expect_hits = 1, 1  # rank-one covariance: the gate regularizes
     else:
-        # a stream whose first attempt's covariance fails the gate and whose second passes
-        count, policy, expect_hits = 20, "reject-and-resample", 1
-        k = first_index(lambda k: [_gate_fails(g, K, L, count, RngStream(12, (0, k)), attempt)
-                                   for attempt in range(2)] == [True, False])
-        assert k is not None
-        stream = RngStream(12, (0, k))
+        count, expect_hits = 1, 1  # rank-one covariance: the gate regularizes
     with zo._DrawAhead(g) as ahead:
-        step, hits, samples = zo._estimate_step(g, K, L, side, 0.2, count, stream, policy, ahead)
-    ref, ref_hits, ref_samples = _serial_estimate_step(g, K, L, side, 0.2, count, stream, policy)
+        step, gated = zo._estimate_step(g, K, L, side, 0.2, count, stream, ahead)
+    ref, ref_gated = _serial_estimate_step(g, K, L, side, 0.2, count, stream)
     assert np.array_equal(step.blocks, ref.blocks)
-    assert (hits, samples) == (ref_hits, ref_samples)
-    assert hits == expect_hits
-    # a rejected attempt spends only its covariance trajectories
-    assert samples == (3 if case == "resample" else 2) * count
+    assert gated == ref_gated == expect_hits
 
 
 def _serial_outer_zo_npg(game, K0, cfg, seed):
@@ -317,44 +275,39 @@ def _serial_outer_zo_npg(game, K0, cfg, seed):
     root = RngStream(seed)
 
     def serial_step(t, K, br):
-        L, inner_used, inner_hits = zero_gain(game, "L"), 0, 0
+        L, inner_hits = zero_gain(game, "L"), 0
         for k in range(cfg.T_in):
-            step, hits, used = _serial_estimate_step(game, K, L, "L", cfg.r1, cfg.M1,
-                                                     root.child(0, t).child(k), cfg.gate_policy)
+            step, gated = _serial_estimate_step(game, K, L, "L", cfg.r1, cfg.M1,
+                                                root.child(0, t).child(k))
             L = L + step.scale(cfg.tau1)
-            inner_used, inner_hits = inner_used + used, inner_hits + hits
-        step, hits, used = _serial_estimate_step(game, K, L, "K", cfg.r2, cfg.M2, root.child(1, t),
-                                                 cfg.gate_policy)
-        return step, (inner_used, used, inner_hits + hits)
+            inner_hits += gated
+        step, gated = _serial_estimate_step(game, K, L, "K", cfg.r2, cfg.M2, root.child(1, t))
+        return step, (2 * cfg.M1 * cfg.T_in, 2 * cfg.M2, inner_hits + gated)
 
     return _outer_descent(game, K0, serial_step, cfg.T, cfg.tau2, None, batch=(cfg.M1, cfg.M2))
 
 
-def _completes_after_gate_hit(game, cfg, seed):
-    """Whether a serial run ends without stopping, after some attempt failed the gate."""
-    try:
-        _, trace = _serial_outer_zo_npg(game, benchmark_initial_gain(), cfg, seed)
-    except zo.CovarianceGateError:
-        return False
+def _gate_hit(game, cfg, seed):
+    """Whether a serial run regularizes some step's covariance estimate."""
+    _, trace = _serial_outer_zo_npg(game, benchmark_initial_gain(), cfg, seed)
     return trace.rows[-1].covariance_gate_hits > 0
 
 
-@pytest.mark.parametrize("policy", ["regularize", "reject-and-resample"])
-def test_outer_zo_npg_matches_serial_draws(policy):
+@pytest.mark.parametrize("gate", ["pass", "regularize"])
+def test_outer_zo_npg_matches_serial_draws(gate):
     # every step's gradient stream is drawn one step ahead on a helper
     # thread; the iterate and the trace stay bitwise those of serial draws
     g = benchmark_game()
     seed = 0
-    if policy == "regularize":
+    if gate == "pass":
         # desk radii at a stable batch: every covariance estimate passes the gate
         cfg = zo.ZoConfig(r1=2.0, r2=0.18, M1=2000, M2=2000, T_in=2, T=2)
     else:
         # batches of 50 fail the gate now and then, and stepsizes 100x below
-        # desk keep the iterates feasible; take a seed where some step's first
-        # attempt fails and its second passes
-        cfg = zo.ZoConfig(r1=2.0, r2=0.18, M1=50, M2=50, tau1=4e-4, tau2=4.67e-6,
-                          T_in=2, T=2, gate_policy=policy)
-        seed = first_index(lambda s: _completes_after_gate_hit(g, cfg, s))
+        # desk keep the iterates feasible; take a seed where some step's
+        # covariance estimate is regularized
+        cfg = zo.ZoConfig(r1=2.0, r2=0.18, M1=50, M2=50, tau1=4e-4, tau2=4.67e-6, T_in=2, T=2)
+        seed = first_index(lambda s: _gate_hit(g, cfg, s))
         assert seed is not None
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the two threads as finely as the interpreter allows
@@ -369,32 +322,39 @@ def test_outer_zo_npg_matches_serial_draws(policy):
         return [dataclasses.replace(row, wallclock_ms=0.0) for row in tr.rows]
 
     assert rows(trace) == rows(ref_trace)
-    assert (trace.rows[-1].covariance_gate_hits > 0) == (policy == "reject-and-resample")
+    assert (trace.rows[-1].covariance_gate_hits > 0) == (gate == "regularize")
 
 
-@pytest.mark.parametrize("case", ["ok", "divergence", "gate"])
+@pytest.mark.parametrize("case", ["ok", "divergence", "singular-covariance"])
 def test_outer_zo_npg_joins_its_helper(case, monkeypatch):
     g = benchmark_game()
-    cfg = {"ok": zo.ZoConfig(r1=2.0, r2=0.18, M1=2000, M2=2000, T_in=2, T=2),
-           # an overflowing stepsize: iterate 1 is not finite
-           "divergence": zo.ZoConfig(r1=2.0, r2=0.18, M1=2000, M2=2000, tau2=1e300, T_in=2, T=2),
-           # M = 1 gives rank-one covariance blocks, so the gate fails both attempts
-           "gate": zo.ZoConfig(M1=1, M2=1, T_in=1, T=1, gate_policy="reject-and-resample")}[case]
+    seed = 0
+    if case == "ok":
+        cfg = zo.ZoConfig(r1=2.0, r2=0.18, M1=2000, M2=2000, T_in=2, T=2)
+    elif case == "divergence":
+        # an overflowing stepsize: iterate 1 is not finite, a stop between steps
+        cfg = zo.ZoConfig(r1=2.0, r2=0.18, M1=2000, M2=2000, tau2=1e300, T_in=2, T=2)
+    else:
+        # a stop inside an estimation step: the outer step's covariance
+        # estimate is singular
+        cfg = zo.ZoConfig(**SINGULAR_ZO)
+        seed = first_index(lambda s: singular_outer_covariance(SINGULAR_ZO, s))
+        assert seed is not None
     before = threading.active_count()
     during = []
 
     def counting_covariance(*args):
-        # every attempt estimates a covariance, a gated one before any gradient rollout
+        # every estimation step starts with its covariance rollout
         during.append(threading.active_count())
         return mean_covariance(*args)
 
     mean_covariance = zo.mean_covariance_blocks
     monkeypatch.setattr(zo, "mean_covariance_blocks", counting_covariance)
     if case == "ok":
-        zo.outer_zo_npg(g, benchmark_initial_gain(), cfg)
+        zo.outer_zo_npg(g, benchmark_initial_gain(), cfg, seed)
     else:
-        with pytest.raises(zo.DivergenceError if case == "divergence" else zo.CovarianceGateError):
-            zo.outer_zo_npg(g, benchmark_initial_gain(), cfg)
+        with pytest.raises(zo.DivergenceError, match=None if case == "divergence" else "singular"):
+            zo.outer_zo_npg(g, benchmark_initial_gain(), cfg, seed)
     assert set(during) == {before + 1}  # one helper for the whole run
     assert threading.active_count() == before
 
